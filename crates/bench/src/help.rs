@@ -61,23 +61,6 @@ pub const ROBUSTNESS_HELP: &str =
   SOPS_FAULTS    deterministic fault injection for drills and tests, e.g.
                  SOPS_FAULTS='ckpt.write#1@2=io;job.step#0@5=panic'";
 
-/// The serve-client commands on `sops-cli` and their shared flags,
-/// talking to a running `sops-serve` daemon. Pinned verbatim in
-/// `docs/SERVE.md` by the docs-sync test.
-pub const SERVE_HELP: &str =
-    "  submit FILE    POST an experiment TOML to the daemon; prints the accepted
-                 sweep id (durably journaled before the id is revealed)
-  status ID      print the sweep's status JSON; exits 3 when the sweep ended
-                 failed, degraded, or cancelled
-  fetch ID       write an artifact to stdout or --out FILE;
-                 --kind csv|events|metrics (csv/metrics answer 409 until the
-                 sweep is done or degraded)
-  cancel ID      checkpoint in-flight jobs and stop the sweep
-  --server HOST:PORT  daemon address        (default 127.0.0.1:7070)
-  --retries N    total attempts on connect/read failure or 503 backpressure
-                 (default 6); exponential backoff doubles --retry-ms
-                 (default 100) per retry, honoring the daemon's Retry-After";
-
 /// Prints a binary's usage plus the shared axis descriptions and exits
 /// when `--help` was passed; a no-op otherwise. Call first thing in every
 /// experiment binary's `main`.

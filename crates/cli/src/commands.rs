@@ -454,8 +454,6 @@ COMMANDS:
   saw        self-avoiding walk counts   --max-len
   render     draw a shape                --shape --n --seed --svg
   witness    show the Figure-3 witness configuration
-  submit / status / fetch / cancel
-             client commands for a running sops-serve daemon (docs/SERVE.md)
   help       this text
 
 ALGORITHMS (--algo / algorithms =):
@@ -470,9 +468,6 @@ TELEMETRY (sweep / run):
 ROBUSTNESS (sweep / run):
 {}
 
-SERVE CLIENT (submit / status / fetch / cancel):
-{}
-
 EXAMPLES:
   sops-cli run examples/experiments/kmc_vs_chain.toml --threads 8
   sops-cli run examples/experiments/fig2_compression.toml --override steps=500000
@@ -483,12 +478,10 @@ EXAMPLES:
                  --checkpoint results/sweep-ckpt
   sops-cli sweep --n 50 --lambda 1,3,5 --algo chain-kmc --hamiltonian alignment \\
                  --steps 400000
-  sops-cli submit examples/experiments/serve_smoke.toml --server 127.0.0.1:7070
   sops-cli render --shape annulus --radius 4",
         sops_bench::help::ALGO_HELP,
         sops_bench::help::HAMILTONIAN_HELP,
         sops_bench::help::TELEMETRY_HELP,
-        sops_bench::help::ROBUSTNESS_HELP,
-        sops_bench::help::SERVE_HELP
+        sops_bench::help::ROBUSTNESS_HELP
     );
 }

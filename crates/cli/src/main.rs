@@ -24,7 +24,6 @@ use sops::render::{ascii, svg};
 use sops_bench::Args;
 
 mod commands;
-mod serve_client;
 
 use commands::{build_shape, print_usage};
 
@@ -34,35 +33,13 @@ fn main() {
         print_usage();
         std::process::exit(2);
     };
-    // `run` takes a positional file path before the flags; the serve-client
-    // commands take a positional file path or sweep id the same way.
+    // `run` takes a positional file path before the flags.
     if command == "run" {
         let Some(path) = argv.next().filter(|p| !p.starts_with("--")) else {
             eprintln!("usage: sops-cli run <experiment.toml> [--override key=value]...");
             std::process::exit(2);
         };
         commands::run(&path, &Args::from_iter(argv));
-        return;
-    }
-    if let "submit" | "status" | "fetch" | "cancel" = command.as_str() {
-        let Some(target) = argv.next().filter(|p| !p.starts_with("--")) else {
-            eprintln!(
-                "usage: sops-cli {command} <{}> [--server HOST:PORT] [--retries N] [--retry-ms MS]",
-                if command == "submit" {
-                    "experiment.toml"
-                } else {
-                    "sweep-id"
-                }
-            );
-            std::process::exit(2);
-        };
-        let args = Args::from_iter(argv);
-        match command.as_str() {
-            "submit" => serve_client::submit(&target, &args),
-            "status" => serve_client::status(&target, &args),
-            "fetch" => serve_client::fetch(&target, &args),
-            _ => serve_client::cancel(&target, &args),
-        }
         return;
     }
     let args = Args::from_iter(argv);

@@ -240,7 +240,8 @@ impl LocalRunner<StdRng> {
     ///
     /// [`SnapshotError`] when the text is malformed or describes an invalid
     /// state (overlapping sites, a head not adjacent to its tail, an event
-    /// for an unknown particle, bad λ).
+    /// for an unknown particle, round bookkeeping that could never complete
+    /// a round, bad λ).
     pub fn restore(text: &str) -> Result<LocalRunner<StdRng>, SnapshotError> {
         let fields = snapshot::Fields::parse(text, "sops-local-snapshot v1")?;
         let bad = |field: &'static str, value: &str| SnapshotError::BadField {
@@ -304,6 +305,7 @@ impl LocalRunner<StdRng> {
         }
         let raw_queue = fields.get("queue")?;
         let mut queue = BinaryHeap::with_capacity(n);
+        let mut queued = vec![false; n];
         for item in raw_queue.split(';').filter(|i| !i.is_empty()) {
             let (time_hex, id) = item
                 .split_once(':')
@@ -314,6 +316,11 @@ impl LocalRunner<StdRng> {
                     "event for unknown particle {id}"
                 )));
             }
+            if std::mem::replace(&mut queued[id], true) {
+                return Err(SnapshotError::Invalid(format!(
+                    "particle {id} has two pending events"
+                )));
+            }
             queue.push(Event {
                 time: snapshot::f64_from_hex("queue", time_hex)?,
                 id,
@@ -321,6 +328,25 @@ impl LocalRunner<StdRng> {
         }
         let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, n)?;
         let live = crashed.iter().filter(|&&dead| !dead).count();
+        // `run_rounds` completes a round only when `remaining` reaches 0, so
+        // the round bookkeeping must match what `step` maintains: every
+        // live particle holds a pending event, and `remaining` counts the
+        // live particles not yet activated this round (at least one, or the
+        // round would have ended; `usize::MAX` once all have crashed).
+        if let Some(id) = (0..n).find(|&id| !crashed[id] && !queued[id]) {
+            return Err(SnapshotError::Invalid(format!(
+                "live particle {id} has no pending event"
+            )));
+        }
+        let activated = snapshot::bools_from_string("activated", fields.get("activated")?, n)?;
+        let remaining: usize = fields.parse_num("remaining")?;
+        let waiting = (0..n).filter(|&id| !crashed[id] && !activated[id]).count();
+        let expected = if live == 0 { usize::MAX } else { waiting };
+        if remaining != expected || remaining == 0 {
+            return Err(SnapshotError::Invalid(format!(
+                "remaining={remaining}, but {waiting} live particles await activation"
+            )));
+        }
         let mut lambda_pow = [0.0; 11];
         for (i, slot) in lambda_pow.iter_mut().enumerate() {
             *slot = lambda.powi(i as i32 - 5);
@@ -337,12 +363,8 @@ impl LocalRunner<StdRng> {
             moves_completed: fields.parse_num("moves")?,
             rounds: fields.parse_num("rounds")?,
             probes: LocalProbes::default(),
-            activated_in_round: snapshot::bools_from_string(
-                "activated",
-                fields.get("activated")?,
-                n,
-            )?,
-            remaining_in_round: fields.parse_num("remaining")?,
+            activated_in_round: activated,
+            remaining_in_round: remaining,
             crashed,
             live,
         })
@@ -856,6 +878,71 @@ mod tests {
             LocalRunner::restore(&bad_queue).unwrap_err(),
             SnapshotError::Invalid(_)
         ));
+    }
+
+    /// `snap` with the `key=` line's value replaced.
+    fn with_field(snap: &str, key: &str, value: &str) -> String {
+        let prefix = format!("{key}=");
+        snap.lines()
+            .map(|l| match l.strip_prefix(&prefix) {
+                Some(_) => format!("{prefix}{value}"),
+                None => l.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n")
+    }
+
+    fn assert_invalid(text: &str) {
+        assert!(matches!(
+            LocalRunner::restore(text),
+            Err(SnapshotError::Invalid(_))
+        ));
+    }
+
+    #[test]
+    fn restore_rejects_remaining_beyond_unactivated_particles() {
+        let mut a = runner(6, 4.0, 3);
+        a.run_activations(7);
+        let snap = a.snapshot();
+        let remaining = a.remaining_in_round;
+        assert!(LocalRunner::restore(&snap).is_ok());
+        // Unbounded `run_rounds` loop: the round can never reach zero.
+        assert_invalid(&with_field(
+            &snap,
+            "remaining",
+            &(remaining + 1).to_string(),
+        ));
+        assert_invalid(&with_field(&snap, "remaining", &usize::MAX.to_string()));
+    }
+
+    #[test]
+    fn restore_rejects_zero_remaining() {
+        let a = runner(6, 4.0, 3);
+        // The first activation would underflow the round counter.
+        assert_invalid(&with_field(&a.snapshot(), "remaining", "0"));
+    }
+
+    #[test]
+    fn restore_rejects_live_particle_without_pending_event() {
+        let mut a = runner(6, 4.0, 3);
+        a.run_activations(7);
+        let snap = a.snapshot();
+        let queue = snap.lines().find_map(|l| l.strip_prefix("queue=")).unwrap();
+        let (_, rest) = queue.split_once(';').unwrap();
+        assert_invalid(&with_field(&snap, "queue", rest));
+        // A doubled event is rejected too.
+        assert_invalid(&with_field(&snap, "queue", &format!("{queue};{queue}")));
+    }
+
+    #[test]
+    fn restore_accepts_all_crashed_runner() {
+        let mut a = runner(3, 4.0, 3);
+        for id in 0..3 {
+            a.crash(id);
+        }
+        let mut b = LocalRunner::restore(&a.snapshot()).unwrap();
+        b.run_rounds(5);
+        assert_eq!(b.rounds(), a.rounds());
     }
 
     #[test]

@@ -72,8 +72,8 @@ const CHECKSUM_KEY: &str = "checksum=fnv1a64:";
 /// The header-first layout means any truncation of the stored file damages
 /// the body (never just the checksum), so torn writes are always caught.
 ///
-/// Public so other durable stores (the serve submission journal) can reuse
-/// the exact same sealing discipline as the checkpoint store.
+/// Public so other writers of durable records (benchmark drivers, tools
+/// that prepare checkpoint directories) use the store's exact format.
 #[must_use]
 pub fn seal(content: &str) -> String {
     format!(

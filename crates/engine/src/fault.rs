@@ -46,17 +46,13 @@ use std::sync::{Mutex, PoisonError};
 
 /// Every named fault point, in the order they appear in a sweep's life
 /// cycle. Pinned verbatim in `docs/ROBUSTNESS.md` by the docs-sync test.
-pub const POINTS: [&str; 10] = [
+pub const POINTS: [&str; 6] = [
     "meta.open",
     "ckpt.read",
     "job.step",
     "ckpt.write",
     "done.write",
     "sink.emit",
-    "serve.accept",
-    "serve.req.read",
-    "serve.resp.write",
-    "serve.journal.write",
 ];
 
 /// Attempts made for a retryable operation (checkpoint/done/sink writes,

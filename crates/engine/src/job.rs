@@ -14,11 +14,9 @@ use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sops::core::hamiltonian::{Alignment, HamiltonianSpec};
+use sops::core::hamiltonian::{Alignment, EdgeCount, Hamiltonian, HamiltonianSpec};
 use sops::core::snapshot::{self, SnapshotError};
-use sops::core::{
-    ChainProbes, CompressionChain, KmcChain, KmcProbes, LocalRunner, ShardedLocalRunner,
-};
+use sops::core::{CompressionChain, KmcChain, LocalProbes, LocalRunner, ShardedLocalRunner};
 use sops::system::{metrics, ParticleSystem};
 use sops_telemetry::{Live, Registry, Sheet};
 
@@ -62,304 +60,396 @@ pub(crate) struct JobContext<'a> {
     pub(crate) shards: usize,
 }
 
-/// One of the simulators, dispatched per job. The chain samplers come in
-/// one variant per supported Hamiltonian — the generic seam of `sops-core`
-/// is monomorphized here, at the edge where job specs are data.
-enum Sim {
-    Chain(Box<CompressionChain>),
-    ChainAlign(Box<CompressionChain<StdRng, Alignment>>),
-    Kmc(Box<KmcChain>),
-    KmcAlign(Box<KmcChain<StdRng, Alignment>>),
-    Local(Box<LocalRunner>),
-    LocalSharded(Box<ShardedLocalRunner>),
-    Ablation(Box<AblationChain>),
+/// One simulator behind the job loop. The engine holds a
+/// `Box<dyn Simulator>` and dispatches once per stepping chunk, never per
+/// step, so the simulators' hot loops stay monomorphized. The chain
+/// samplers implement it once per family, generically over the
+/// Hamiltonian; a new Hamiltonian needs only a [`fresh`] arm and a
+/// [`KINDS`] row per family.
+trait Simulator {
+    /// The checkpoint kind string (a [`KINDS`] key).
+    fn kind(&self) -> &'static str;
+    fn snapshot(&self) -> String;
+    /// Actual particle count (can differ from `spec.n`, e.g. for annuli).
+    fn len(&self) -> usize;
+    /// Work units executed: chain/ablation steps or local rounds.
+    fn work(&self) -> u64;
+    /// Runs `delta > 0` more work units, one call per stepping chunk; may
+    /// stop short when the simulator can make no further progress (halted
+    /// ablation, all-crashed local). `shards` selects the worker count for
+    /// `local-sharded` jobs (an execution detail — the trajectory is
+    /// identical at any value).
+    fn advance(&mut self, delta: u64, shards: usize);
+    fn perimeter(&mut self) -> u64;
+    /// `(perimeter, edges, connected)` of the final configuration.
+    fn final_state(&mut self) -> (u64, u64, bool);
+    /// Folds the session's probe counters into `sheet`; `completed` marks
+    /// the job's final session.
+    fn drain_probes(&self, sheet: &mut Sheet, completed: bool);
+
+    /// Crashes particle `id`. Ablation studies invariant violations, not
+    /// fault tolerance, so crash scenarios do not apply to it.
+    fn crash(&mut self, _id: usize) {}
+
+    /// Step-outcome counters for the results layer.
+    fn step_record(&self) -> StepRecord {
+        StepRecord::None
+    }
+
+    /// The final count of aligned neighbor pairs `a(σ)` — the alignment
+    /// Hamiltonian's energy — for the simulators that track orientations.
+    fn aligned(&self) -> Option<u64> {
+        None
+    }
+
+    fn violations(&self) -> u64 {
+        0
+    }
+}
+
+type Restore = fn(&str) -> Result<Box<dyn Simulator>, SnapshotError>;
+
+fn boxed<S: Simulator + 'static>(
+    sim: Result<S, SnapshotError>,
+) -> Result<Box<dyn Simulator>, SnapshotError> {
+    Ok(Box::new(sim?))
+}
+
+/// Checkpoint kind → restore. The align kinds carry their orientation
+/// count (and any future Hamiltonian parameters) inside the simulator
+/// snapshot's `hamiltonian=` line; the kind string only selects the type.
+const KINDS: [(&str, Restore); 7] = [
+    ("chain", |t| {
+        boxed(CompressionChain::<StdRng, EdgeCount>::restore(t))
+    }),
+    ("chain-align", |t| {
+        boxed(CompressionChain::<StdRng, Alignment>::restore(t))
+    }),
+    ("kmc", |t| boxed(KmcChain::<StdRng, EdgeCount>::restore(t))),
+    ("kmc-align", |t| {
+        boxed(KmcChain::<StdRng, Alignment>::restore(t))
+    }),
+    ("local", |t| boxed(LocalRunner::restore(t))),
+    ("local-sharded", |t| boxed(ShardedLocalRunner::restore(t))),
+    ("ablation", |t| boxed(AblationChain::restore(t))),
+];
+
+fn restore(kind: &str, text: &str) -> Result<Box<dyn Simulator>, SnapshotError> {
+    let (_, restore) = KINDS
+        .iter()
+        .find(|(k, _)| *k == kind)
+        .ok_or_else(|| SnapshotError::Invalid(format!("unknown sim kind {kind:?}")))?;
+    restore(text)
 }
 
 fn invalid(err: impl std::fmt::Display) -> io::Error {
     io::Error::new(io::ErrorKind::InvalidInput, err.to_string())
 }
 
-/// Attaches the per-particle state a Hamiltonian needs to a job's starting
-/// configuration (orientations for alignment; nothing for edge count). The
-/// assignment is a pure function of the spec, so fresh runs and
-/// checkpoint-resumed runs agree.
-fn prepare_start(start: ParticleSystem, hamiltonian: HamiltonianSpec, seed: u64) -> ParticleSystem {
-    match hamiltonian {
-        HamiltonianSpec::Edges => start,
-        HamiltonianSpec::Alignment { q } => start.with_random_orientations(q, seed ^ ORIENT_SALT),
+fn fresh(spec: &JobSpec) -> io::Result<Box<dyn Simulator>> {
+    // Specs are plain data (public fields), so range invariants the string
+    // parser enforces must be re-checked here; a bad spec is an
+    // InvalidInput error like any other uninstantiable job, not a
+    // worker-thread panic.
+    if let Some(HamiltonianSpec::Alignment { q }) = spec.algorithm.hamiltonian() {
+        if !(2..=64).contains(&q) {
+            return Err(invalid(format!("alignment q must be in 2..=64, got {q}")));
+        }
     }
+    let (lambda, seed) = (spec.lambda, spec.seed);
+    let start = spec.shape.build(spec.n, seed).map_err(invalid)?;
+    // Alignment runs start from orientations that are a pure function of
+    // the spec, so fresh runs and checkpoint-resumed runs agree.
+    let oriented = |start: ParticleSystem, q| start.with_random_orientations(q, seed ^ ORIENT_SALT);
+    Ok(match spec.algorithm {
+        Algorithm::Chain(HamiltonianSpec::Edges) => {
+            Box::new(CompressionChain::from_seed(start, lambda, seed).map_err(invalid)?)
+        }
+        Algorithm::Chain(HamiltonianSpec::Alignment { q }) => Box::new(
+            CompressionChain::from_seed_with(oriented(start, q), lambda, seed, Alignment { q })
+                .map_err(invalid)?,
+        ),
+        Algorithm::ChainKmc(HamiltonianSpec::Edges) => {
+            Box::new(KmcChain::from_seed(start, lambda, seed).map_err(invalid)?)
+        }
+        Algorithm::ChainKmc(HamiltonianSpec::Alignment { q }) => Box::new(
+            KmcChain::from_seed_with(oriented(start, q), lambda, seed, Alignment { q })
+                .map_err(invalid)?,
+        ),
+        Algorithm::Local => {
+            Box::new(LocalRunner::from_seed(&start, lambda, seed).map_err(invalid)?)
+        }
+        Algorithm::LocalSharded => {
+            Box::new(ShardedLocalRunner::from_seed(&start, lambda, seed).map_err(invalid)?)
+        }
+        Algorithm::Ablation(guards) => Box::new(
+            AblationChain::from_seed(&start, lambda, guards, (spec.n as u64).max(1), seed)
+                .map_err(invalid)?,
+        ),
+    })
 }
 
-impl Sim {
-    fn fresh(spec: &JobSpec) -> io::Result<Sim> {
-        // Specs are plain data (public fields), so range invariants the
-        // string parser enforces must be re-checked here; a bad spec is an
-        // InvalidInput error like any other uninstantiable job, not a
-        // worker-thread panic.
-        if let Some(HamiltonianSpec::Alignment { q }) = spec.algorithm.hamiltonian() {
-            if !(2..=64).contains(&q) {
-                return Err(invalid(format!("alignment q must be in 2..=64, got {q}")));
-            }
-        }
-        let start = spec.shape.build(spec.n, spec.seed).map_err(invalid)?;
-        Ok(match spec.algorithm {
-            Algorithm::Chain(HamiltonianSpec::Edges) => Sim::Chain(Box::new(
-                CompressionChain::from_seed(start, spec.lambda, spec.seed).map_err(invalid)?,
-            )),
-            Algorithm::Chain(h @ HamiltonianSpec::Alignment { q }) => {
-                let start = prepare_start(start, h, spec.seed);
-                Sim::ChainAlign(Box::new(
-                    CompressionChain::from_seed_with(
-                        start,
-                        spec.lambda,
-                        spec.seed,
-                        Alignment { q },
-                    )
-                    .map_err(invalid)?,
-                ))
-            }
-            Algorithm::ChainKmc(HamiltonianSpec::Edges) => Sim::Kmc(Box::new(
-                KmcChain::from_seed(start, spec.lambda, spec.seed).map_err(invalid)?,
-            )),
-            Algorithm::ChainKmc(h @ HamiltonianSpec::Alignment { q }) => {
-                let start = prepare_start(start, h, spec.seed);
-                Sim::KmcAlign(Box::new(
-                    KmcChain::from_seed_with(start, spec.lambda, spec.seed, Alignment { q })
-                        .map_err(invalid)?,
-                ))
-            }
-            Algorithm::Local => Sim::Local(Box::new(
-                LocalRunner::from_seed(&start, spec.lambda, spec.seed).map_err(invalid)?,
-            )),
-            Algorithm::LocalSharded => Sim::LocalSharded(Box::new(
-                ShardedLocalRunner::from_seed(&start, spec.lambda, spec.seed).map_err(invalid)?,
-            )),
-            Algorithm::Ablation(guards) => Sim::Ablation(Box::new(
-                AblationChain::from_seed(
-                    &start,
-                    spec.lambda,
-                    guards,
-                    (spec.n as u64).max(1),
-                    spec.seed,
-                )
-                .map_err(invalid)?,
-            )),
-        })
-    }
+/// `a(σ)` when the configuration carries orientations. Like the `-align`
+/// kind suffix, it follows from the configuration alone, so the chain
+/// families need no per-Hamiltonian hook.
+fn aligned_pairs(sys: &ParticleSystem) -> Option<u64> {
+    sys.orientations().map(|_| metrics::aligned_pairs(sys))
+}
 
+fn drain_local_probes(sheet: &mut Sheet, kind: &str, p: &LocalProbes) {
+    sheet.add(&format!("{kind}.expanded"), p.expanded);
+    sheet.add(&format!("{kind}.contracted_forward"), p.contracted_forward);
+    sheet.add(&format!("{kind}.contracted_back"), p.contracted_back);
+    sheet.add(&format!("{kind}.idle"), p.idle);
+    sheet.add(&format!("{kind}.activations"), p.total());
+}
+
+fn tail_state(tails: &ParticleSystem) -> (u64, u64, bool) {
+    (tails.perimeter(), tails.edge_count(), tails.is_connected())
+}
+
+impl<H: Hamiltonian> Simulator for CompressionChain<StdRng, H> {
     fn kind(&self) -> &'static str {
-        match self {
-            Sim::Chain(_) => "chain",
-            Sim::ChainAlign(_) => "chain-align",
-            Sim::Kmc(_) => "kmc",
-            Sim::KmcAlign(_) => "kmc-align",
-            Sim::Local(_) => "local",
-            Sim::LocalSharded(_) => "local-sharded",
-            Sim::Ablation(_) => "ablation",
-        }
-    }
-
-    fn restore(kind: &str, text: &str) -> Result<Sim, SnapshotError> {
-        // The align kinds carry their orientation count (and any future
-        // Hamiltonian parameters) inside the simulator snapshot's
-        // `hamiltonian=` line; the kind string only selects the type.
-        match kind {
-            "chain" => Ok(Sim::Chain(Box::new(CompressionChain::restore(text)?))),
-            "chain-align" => Ok(Sim::ChainAlign(Box::new(CompressionChain::restore(text)?))),
-            "kmc" => Ok(Sim::Kmc(Box::new(KmcChain::restore(text)?))),
-            "kmc-align" => Ok(Sim::KmcAlign(Box::new(KmcChain::restore(text)?))),
-            "local" => Ok(Sim::Local(Box::new(LocalRunner::restore(text)?))),
-            "local-sharded" => Ok(Sim::LocalSharded(Box::new(ShardedLocalRunner::restore(
-                text,
-            )?))),
-            "ablation" => Ok(Sim::Ablation(Box::new(AblationChain::restore(text)?))),
-            other => Err(SnapshotError::Invalid(format!(
-                "unknown sim kind {other:?}"
-            ))),
+        if self.system().orientations().is_some() {
+            "chain-align"
+        } else {
+            "chain"
         }
     }
 
     fn snapshot(&self) -> String {
-        match self {
-            Sim::Chain(c) => c.snapshot(),
-            Sim::ChainAlign(c) => c.snapshot(),
-            Sim::Kmc(k) => k.snapshot(),
-            Sim::KmcAlign(k) => k.snapshot(),
-            Sim::Local(l) => l.snapshot(),
-            Sim::LocalSharded(l) => l.snapshot(),
-            Sim::Ablation(a) => a.snapshot(),
-        }
+        self.snapshot()
     }
 
-    /// Actual particle count (can differ from `spec.n`, e.g. for annuli).
     fn len(&self) -> usize {
-        match self {
-            Sim::Chain(c) => c.system().len(),
-            Sim::ChainAlign(c) => c.system().len(),
-            Sim::Kmc(k) => k.system().len(),
-            Sim::KmcAlign(k) => k.system().len(),
-            Sim::Local(l) => l.len(),
-            Sim::LocalSharded(l) => l.len(),
-            Sim::Ablation(a) => a.system().len(),
-        }
+        self.system().len()
     }
 
-    /// Work units executed: chain/ablation steps or local rounds.
     fn work(&self) -> u64 {
-        match self {
-            Sim::Chain(c) => c.steps(),
-            Sim::ChainAlign(c) => c.steps(),
-            Sim::Kmc(k) => k.steps(),
-            Sim::KmcAlign(k) => k.steps(),
-            Sim::Local(l) => l.rounds(),
-            Sim::LocalSharded(l) => l.rounds(),
-            Sim::Ablation(a) => a.steps(),
-        }
+        self.steps()
     }
 
-    /// Advances to `target` work units; may stop short when the simulator
-    /// can make no further progress (halted ablation, all-crashed local).
-    /// `shards` selects the worker count for `local-sharded` jobs (an
-    /// execution detail — the trajectory is identical at any value).
-    fn advance_to(&mut self, target: u64, shards: usize) {
-        let delta = target.saturating_sub(self.work());
-        if delta == 0 {
-            return;
-        }
-        match self {
-            Sim::Chain(c) => {
-                c.run(delta);
-            }
-            Sim::ChainAlign(c) => {
-                c.run(delta);
-            }
-            Sim::Kmc(k) => {
-                k.run(delta);
-            }
-            Sim::KmcAlign(k) => {
-                k.run(delta);
-            }
-            Sim::Local(l) => l.run_rounds(delta),
-            Sim::LocalSharded(l) => {
-                if shards > 1 {
-                    l.run_rounds_with(delta, &PoolExecutor::new(shards));
-                } else {
-                    l.run_rounds(delta);
-                }
-            }
-            Sim::Ablation(a) => a.run(delta),
-        }
+    fn advance(&mut self, delta: u64, _shards: usize) {
+        self.run(delta);
     }
 
     fn perimeter(&mut self) -> u64 {
-        match self {
-            Sim::Chain(c) => c.perimeter(),
-            Sim::ChainAlign(c) => c.perimeter(),
-            Sim::Kmc(k) => k.perimeter(),
-            Sim::KmcAlign(k) => k.perimeter(),
-            Sim::Local(l) => l.tail_system().perimeter(),
-            Sim::LocalSharded(l) => l.tail_system().perimeter(),
-            Sim::Ablation(a) => a.system().perimeter(),
+        self.perimeter()
+    }
+
+    fn final_state(&mut self) -> (u64, u64, bool) {
+        let p = self.perimeter();
+        (p, self.system().edge_count(), self.system().is_connected())
+    }
+
+    fn drain_probes(&self, sheet: &mut Sheet, _completed: bool) {
+        let (kind, probes) = (self.kind(), self.probes());
+        sheet.add(&format!("{kind}.accepted"), probes.accepted_delta.count());
+        sheet.observe_hist(&format!("{kind}.accepted_delta"), &probes.accepted_delta);
+    }
+
+    fn crash(&mut self, id: usize) {
+        self.crash(id);
+    }
+
+    fn step_record(&self) -> StepRecord {
+        StepRecord::Chain(self.counts())
+    }
+
+    fn aligned(&self) -> Option<u64> {
+        aligned_pairs(self.system())
+    }
+}
+
+impl<H: Hamiltonian> Simulator for KmcChain<StdRng, H> {
+    fn kind(&self) -> &'static str {
+        if self.system().orientations().is_some() {
+            "kmc-align"
+        } else {
+            "kmc"
+        }
+    }
+
+    fn snapshot(&self) -> String {
+        self.snapshot()
+    }
+
+    fn len(&self) -> usize {
+        self.system().len()
+    }
+
+    fn work(&self) -> u64 {
+        self.steps()
+    }
+
+    fn advance(&mut self, delta: u64, _shards: usize) {
+        self.run(delta);
+    }
+
+    fn perimeter(&mut self) -> u64 {
+        self.perimeter()
+    }
+
+    fn final_state(&mut self) -> (u64, u64, bool) {
+        let p = self.perimeter();
+        (p, self.system().edge_count(), self.system().is_connected())
+    }
+
+    fn drain_probes(&self, sheet: &mut Sheet, _completed: bool) {
+        let (kind, probes) = (self.kind(), self.probes());
+        sheet.add(&format!("{kind}.accepted"), probes.dwell.count());
+        sheet.observe_hist(&format!("{kind}.dwell"), &probes.dwell);
+        sheet.observe_hist(
+            &format!("{kind}.revalidation_fanout"),
+            &probes.revalidation_fanout,
+        );
+    }
+
+    fn crash(&mut self, id: usize) {
+        self.crash(id);
+    }
+
+    fn step_record(&self) -> StepRecord {
+        let counts = self.counts();
+        StepRecord::Kmc {
+            moved: counts.moved,
+            total: self.steps(),
+            max_jump: counts.max_jump,
+        }
+    }
+
+    fn aligned(&self) -> Option<u64> {
+        aligned_pairs(self.system())
+    }
+}
+
+impl Simulator for LocalRunner {
+    fn kind(&self) -> &'static str {
+        "local"
+    }
+
+    fn snapshot(&self) -> String {
+        self.snapshot()
+    }
+
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn work(&self) -> u64 {
+        self.rounds()
+    }
+
+    fn advance(&mut self, delta: u64, _shards: usize) {
+        self.run_rounds(delta);
+    }
+
+    fn perimeter(&mut self) -> u64 {
+        self.tail_system().perimeter()
+    }
+
+    fn final_state(&mut self) -> (u64, u64, bool) {
+        tail_state(&self.tail_system())
+    }
+
+    fn drain_probes(&self, sheet: &mut Sheet, completed: bool) {
+        drain_local_probes(sheet, "local", self.probes());
+        // Simulated (continuous Poisson-clock) elapsed time, summed over
+        // the sweep's local-algorithm jobs. Unlike the probes, `time()` is
+        // simulation state that survives restore, so it is recorded once
+        // per *job* (at completion), not per session.
+        if completed {
+            sheet.gauge_add("local.sim_time", self.time());
         }
     }
 
     fn crash(&mut self, id: usize) {
-        match self {
-            Sim::Chain(c) => {
-                c.crash(id);
-            }
-            Sim::ChainAlign(c) => {
-                c.crash(id);
-            }
-            Sim::Kmc(k) => {
-                k.crash(id);
-            }
-            Sim::KmcAlign(k) => {
-                k.crash(id);
-            }
-            Sim::Local(l) => l.crash(id),
-            Sim::LocalSharded(l) => l.crash(id),
-            // Ablation studies invariant violations, not fault tolerance;
-            // crash scenarios do not apply to it.
-            Sim::Ablation(_) => {}
+        self.crash(id);
+    }
+}
+
+impl Simulator for ShardedLocalRunner {
+    fn kind(&self) -> &'static str {
+        "local-sharded"
+    }
+
+    fn snapshot(&self) -> String {
+        self.snapshot()
+    }
+
+    fn len(&self) -> usize {
+        self.len()
+    }
+
+    fn work(&self) -> u64 {
+        self.rounds()
+    }
+
+    fn advance(&mut self, delta: u64, shards: usize) {
+        if shards > 1 {
+            self.run_rounds_with(delta, &PoolExecutor::new(shards));
+        } else {
+            self.run_rounds(delta);
         }
     }
+
+    fn perimeter(&mut self) -> u64 {
+        self.tail_system().perimeter()
+    }
+
+    fn final_state(&mut self) -> (u64, u64, bool) {
+        tail_state(&self.tail_system())
+    }
+
+    fn drain_probes(&self, sheet: &mut Sheet, _completed: bool) {
+        drain_local_probes(sheet, "local-sharded", self.probes());
+    }
+
+    fn crash(&mut self, id: usize) {
+        self.crash(id);
+    }
+}
+
+impl Simulator for AblationChain {
+    fn kind(&self) -> &'static str {
+        "ablation"
+    }
+
+    fn snapshot(&self) -> String {
+        self.snapshot()
+    }
+
+    fn len(&self) -> usize {
+        self.system().len()
+    }
+
+    fn work(&self) -> u64 {
+        self.steps()
+    }
+
+    fn advance(&mut self, delta: u64, _shards: usize) {
+        self.run(delta);
+    }
+
+    fn perimeter(&mut self) -> u64 {
+        self.system().perimeter()
+    }
+
+    fn final_state(&mut self) -> (u64, u64, bool) {
+        tail_state(self.system())
+    }
+
+    fn drain_probes(&self, _sheet: &mut Sheet, _completed: bool) {}
 
     fn violations(&self) -> u64 {
-        match self {
-            Sim::Ablation(a) => a.report().violations(),
-            _ => 0,
-        }
-    }
-
-    /// Step-outcome counters for the results layer.
-    fn step_record(&self) -> StepRecord {
-        match self {
-            Sim::Chain(c) => StepRecord::Chain(c.counts()),
-            Sim::ChainAlign(c) => StepRecord::Chain(c.counts()),
-            Sim::Kmc(k) => StepRecord::Kmc {
-                moved: k.counts().moved,
-                total: k.steps(),
-                max_jump: k.counts().max_jump,
-            },
-            Sim::KmcAlign(k) => StepRecord::Kmc {
-                moved: k.counts().moved,
-                total: k.steps(),
-                max_jump: k.counts().max_jump,
-            },
-            Sim::Local(_) | Sim::LocalSharded(_) | Sim::Ablation(_) => StepRecord::None,
-        }
-    }
-
-    /// The final count of aligned neighbor pairs `a(σ)` — the alignment
-    /// Hamiltonian's energy — for the simulators that track orientations.
-    fn aligned(&self) -> Option<u64> {
-        match self {
-            Sim::ChainAlign(c) => Some(metrics::aligned_pairs(c.system())),
-            Sim::KmcAlign(k) => Some(metrics::aligned_pairs(k.system())),
-            _ => None,
-        }
-    }
-
-    /// `(perimeter, edges, connected)` of the final configuration.
-    fn final_state(&mut self) -> (u64, u64, bool) {
-        match self {
-            Sim::Chain(c) => {
-                let p = c.perimeter();
-                (p, c.system().edge_count(), c.system().is_connected())
-            }
-            Sim::ChainAlign(c) => {
-                let p = c.perimeter();
-                (p, c.system().edge_count(), c.system().is_connected())
-            }
-            Sim::Kmc(k) => {
-                let p = k.perimeter();
-                (p, k.system().edge_count(), k.system().is_connected())
-            }
-            Sim::KmcAlign(k) => {
-                let p = k.perimeter();
-                (p, k.system().edge_count(), k.system().is_connected())
-            }
-            Sim::Local(l) => {
-                let tails = l.tail_system();
-                (tails.perimeter(), tails.edge_count(), tails.is_connected())
-            }
-            Sim::LocalSharded(l) => {
-                let tails = l.tail_system();
-                (tails.perimeter(), tails.edge_count(), tails.is_connected())
-            }
-            Sim::Ablation(a) => {
-                let sys = a.system();
-                (sys.perimeter(), sys.edge_count(), sys.is_connected())
-            }
-        }
+        self.report().violations()
     }
 }
 
 /// Mid-flight state of a job (everything a checkpoint needs to carry
 /// besides the simulator snapshot itself).
 struct JobState {
-    sim: Sim,
+    sim: Box<dyn Simulator>,
     samples: Vec<f64>,
     /// 1-based index of the next sample to take.
     next_sample: u64,
@@ -410,7 +500,7 @@ fn parse_ckpt(spec: &JobSpec, text: &str) -> Result<JobState, SnapshotError> {
     }
     let samples = snapshot::f64s_from_string("samples", fields.get("samples")?)?;
     let first_hit = snapshot::opt_u64_from_string("first_hit", fields.get("first_hit")?)?;
-    let sim = Sim::restore(fields.get("sim")?, sim_part)?;
+    let sim = restore(fields.get("sim")?, sim_part)?;
     let last_ckpt_work = sim.work();
     Ok(JobState {
         sim,
@@ -510,7 +600,7 @@ fn advance_checkpointed(
         }
         let before = state.sim.work();
         let t0 = state.sheet.as_ref().map(|_| Instant::now());
-        state.sim.advance_to(next, ctx.shards);
+        state.sim.advance(next - before, ctx.shards);
         if let (Some(t0), Some(sheet)) = (t0, state.sheet.as_mut()) {
             sheet.add(
                 &format!("time.step.{}_ns", state.sim.kind()),
@@ -536,20 +626,6 @@ fn elapsed_ns(start: Instant) -> u64 {
     u64::try_from(start.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
-fn drain_chain_probes(sheet: &mut Sheet, kind: &str, probes: &ChainProbes) {
-    sheet.add(&format!("{kind}.accepted"), probes.accepted_delta.count());
-    sheet.observe_hist(&format!("{kind}.accepted_delta"), &probes.accepted_delta);
-}
-
-fn drain_kmc_probes(sheet: &mut Sheet, kind: &str, probes: &KmcProbes) {
-    sheet.add(&format!("{kind}.accepted"), probes.dwell.count());
-    sheet.observe_hist(&format!("{kind}.dwell"), &probes.dwell);
-    sheet.observe_hist(
-        &format!("{kind}.revalidation_fanout"),
-        &probes.revalidation_fanout,
-    );
-}
-
 /// Folds the session's telemetry — phase timers, per-family work counters,
 /// and the simulator probes — into the sweep registry. Called exactly once
 /// per job session: on completion and on every interrupted return.
@@ -567,36 +643,7 @@ fn drain_telemetry(state: &mut JobState, ctx: &JobContext<'_>, completed: bool) 
         sheet.add(&format!("{kind}.jobs"), 1);
         Live::add(&reg.live.jobs_done, 1);
     }
-    match &state.sim {
-        Sim::Chain(c) => drain_chain_probes(&mut sheet, kind, c.probes()),
-        Sim::ChainAlign(c) => drain_chain_probes(&mut sheet, kind, c.probes()),
-        Sim::Kmc(k) => drain_kmc_probes(&mut sheet, kind, k.probes()),
-        Sim::KmcAlign(k) => drain_kmc_probes(&mut sheet, kind, k.probes()),
-        Sim::Local(l) => {
-            let p = l.probes();
-            sheet.add("local.expanded", p.expanded);
-            sheet.add("local.contracted_forward", p.contracted_forward);
-            sheet.add("local.contracted_back", p.contracted_back);
-            sheet.add("local.idle", p.idle);
-            sheet.add("local.activations", p.total());
-            // Simulated (continuous Poisson-clock) elapsed time, summed
-            // over the sweep's local-algorithm jobs. Unlike the probes,
-            // `time()` is simulation state that survives restore, so it is
-            // recorded once per *job* (at completion), not per session.
-            if completed {
-                sheet.gauge_add("local.sim_time", l.time());
-            }
-        }
-        Sim::LocalSharded(l) => {
-            let p = l.probes();
-            sheet.add(&format!("{kind}.expanded"), p.expanded);
-            sheet.add(&format!("{kind}.contracted_forward"), p.contracted_forward);
-            sheet.add(&format!("{kind}.contracted_back"), p.contracted_back);
-            sheet.add(&format!("{kind}.idle"), p.idle);
-            sheet.add(&format!("{kind}.activations"), p.total());
-        }
-        Sim::Ablation(_) => {}
-    }
+    state.sim.drain_probes(&mut sheet, completed);
     reg.fold(&sheet);
 }
 
@@ -658,7 +705,7 @@ pub(crate) fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> io::Result<JobOut
                 spec.seed
             ));
             JobState {
-                sim: Sim::fresh(spec)?,
+                sim: fresh(spec)?,
                 samples: Vec::new(),
                 next_sample: 1,
                 crashed_applied: false,
@@ -790,4 +837,43 @@ pub(crate) fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> io::Result<JobOut
         spec.id, result.work_done
     ));
     Ok(JobOutcome::Completed(result))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::ablation::Guards;
+    use crate::grid::Shape;
+
+    #[test]
+    fn every_simulator_kind_restores_through_the_table() {
+        let align = HamiltonianSpec::Alignment { q: 3 };
+        let algorithms = [
+            Algorithm::CHAIN,
+            Algorithm::Chain(align),
+            Algorithm::CHAIN_KMC,
+            Algorithm::ChainKmc(align),
+            Algorithm::Local,
+            Algorithm::LocalSharded,
+            Algorithm::Ablation(Guards::full()),
+        ];
+        let mut kinds = Vec::new();
+        for algorithm in algorithms {
+            let mut spec = JobSpec::new(algorithm, Shape::Line, 12, 4.0, 0);
+            spec.seed = 7;
+            let mut sim = fresh(&spec).unwrap();
+            sim.advance(5, 1);
+            let (kind, text) = (sim.kind(), sim.snapshot());
+            let back = restore(kind, &text).unwrap_or_else(|e| panic!("{kind}: {e}"));
+            assert_eq!(back.kind(), kind);
+            assert_eq!(back.snapshot(), text, "{kind} snapshot bytes changed");
+            kinds.push(kind);
+        }
+        let table: Vec<&str> = KINDS.iter().map(|(kind, _)| *kind).collect();
+        assert_eq!(kinds, table, "every kind has exactly one restore row");
+        assert!(matches!(
+            restore("chain-exotic", ""),
+            Err(SnapshotError::Invalid(_))
+        ));
+    }
 }

@@ -111,7 +111,7 @@ pub use fault::{FaultKind, FaultPlan, FaultSpec, POINTS as FAULT_POINTS};
 pub use grid::{Algorithm, CrashSpec, JobGrid, JobSpec, Shape, ORIENT_SALT};
 pub use pool::{default_threads, map_parallel, map_parallel_isolated};
 pub use result::{JobFailure, JobResult, StepRecord};
-pub use run::{run_grid, run_sweep, EngineConfig, SessionProgress, SweepReport, SweepSession};
+pub use run::{run_grid, run_sweep, EngineConfig, SweepReport, SweepSession};
 pub use shard::PoolExecutor;
 pub use sink::EventSink;
 pub use sops::core::hamiltonian::HamiltonianSpec;

@@ -226,20 +226,6 @@ enum Outcome {
     Panicked(String),
 }
 
-/// A point-in-time view of a running [`SweepSession`], cheap enough to
-/// serve from a status endpoint while workers are stepping.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct SessionProgress {
-    /// Every job of the sweep (done, pending, or quarantined).
-    pub jobs: usize,
-    /// Results reused from done-records of a prior run.
-    pub reused: usize,
-    /// Fresh completions recorded so far this run.
-    pub completed: usize,
-    /// Fresh failures (I/O errors or panics) recorded so far this run.
-    pub failed: usize,
-}
-
 /// A reentrant sweep in flight: the open/step/finish decomposition of
 /// [`run_sweep`].
 ///
@@ -251,12 +237,8 @@ pub struct SessionProgress {
 /// [`SweepSession::finish`], which assembles the exact [`SweepReport`]
 /// (same events, same bytes) that the one-shot [`run_sweep`] produces.
 ///
-/// The decomposition exists for long-lived callers (the `sops-serve`
-/// daemon) that need to interleave jobs of *several* sweeps over one worker
-/// pool and cancel or drain a sweep mid-flight: [`SweepSession::request_stop`]
-/// makes every subsequent `run_pending` call (and every job already
-/// stepping) checkpoint and return interrupted, so a later run with the
-/// same checkpoint directory resumes byte-identically.
+/// Drivers that need a span around each phase (a tracing benchmark, say)
+/// or their own scheduling call the three steps directly.
 pub struct SweepSession {
     specs: Vec<JobSpec>,
     pending: Vec<JobSpec>,
@@ -448,8 +430,8 @@ impl SweepSession {
     /// job are caught and recorded (worker isolation), exactly as
     /// [`run_sweep`]'s pool does.
     ///
-    /// After [`SweepSession::request_stop`], the call records an
-    /// interrupted outcome without starting the job.
+    /// Once a `stop_after_checkpoints` budget has tripped, the call records
+    /// an interrupted outcome without starting the job.
     pub fn run_pending(&self, pos: usize) {
         let spec = self.pending[pos];
         let outcome = if self.stop.load(Ordering::SeqCst) {
@@ -466,44 +448,10 @@ impl SweepSession {
         relock(&self.outcomes)[pos] = Some(outcome);
     }
 
-    /// Asks the sweep to stop: jobs currently stepping checkpoint at their
-    /// next chunk boundary and return interrupted; jobs not yet started
-    /// never start. The cancel/drain hook for long-lived callers.
-    pub fn request_stop(&self) {
-        self.stop.store(true, Ordering::SeqCst);
-    }
-
-    /// True once [`SweepSession::request_stop`] has been called (or a
-    /// `stop_after_checkpoints` budget tripped the shared stop flag).
-    #[must_use]
-    pub fn stop_requested(&self) -> bool {
-        self.stop.load(Ordering::SeqCst)
-    }
-
-    /// A snapshot of how far the sweep has progressed.
-    #[must_use]
-    pub fn progress(&self) -> SessionProgress {
-        let outcomes = relock(&self.outcomes);
-        let completed = outcomes
-            .iter()
-            .filter(|o| matches!(o, Some(Outcome::Completed(_))))
-            .count();
-        let failed = outcomes
-            .iter()
-            .filter(|o| matches!(o, Some(Outcome::Error(_) | Outcome::Panicked(_))))
-            .count();
-        SessionProgress {
-            jobs: self.specs.len(),
-            reused: self.reused,
-            completed,
-            failed,
-        }
-    }
-
     /// Assembles the [`SweepReport`]: sorts results, durably quarantines
     /// fresh failures, emits the closing events, and snapshots metrics —
     /// byte-identical to the one-shot [`run_sweep`] path. Pending
-    /// positions never run (a drain) count as interrupted.
+    /// positions never run (the stop flag tripped) count as interrupted.
     ///
     /// # Errors
     ///
@@ -641,8 +589,7 @@ impl SweepSession {
 /// `docs/ROBUSTNESS.md` for the full failure model.
 ///
 /// Implemented as [`SweepSession::open`] + a worker pool over every
-/// pending position + [`SweepSession::finish`]; callers needing to
-/// interleave or cancel sweeps drive the session directly.
+/// pending position + [`SweepSession::finish`].
 ///
 /// # Errors
 ///

@@ -22,7 +22,7 @@ const CHUNK: u64 = 50_000;
 const LAMBDA: f64 = 6.0;
 const BURN_IN: u64 = 50_000;
 
-/// A compressed start: the hexagonal spiral is near-maximally dense, so
+/// A compressed start: the hexagonal spiral is maximally dense, so
 /// after a short burn-in the system sits at the α-compressed equilibrium
 /// the paper's Theorem 4.5 describes.
 fn compressed_start(n: usize) -> ParticleSystem {

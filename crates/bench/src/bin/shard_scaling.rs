@@ -60,7 +60,12 @@ fn main() {
 
     // A compact blob: dense regions, thousands of them, so every color
     // step has far more independent work units than workers.
+    let t0 = Instant::now();
     let start = ParticleSystem::connected(shapes::spiral(n)).expect("spiral start");
+    println!(
+        "start: spiral(n) built in {:.3} s",
+        t0.elapsed().as_secs_f64()
+    );
     let regions = count_regions(&start);
     println!(
         "regions occupied: {regions} (≥ {} per color step)\n",

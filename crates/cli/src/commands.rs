@@ -27,31 +27,23 @@ fn faults_from_env() -> Option<FaultSpec> {
 
 /// Builds the starting configuration from `--shape` (default: line).
 ///
-/// Shapes: `line`, `spiral`, `hexagon` (radius derived from n), `annulus`
-/// (radius from `--radius`, default 3), `lshape`, `random` (Eden growth,
-/// seeded), `witness` (the Figure-3 configuration; ignores `--n`).
+/// Shapes: `line`, `spiral`, `hexagon` (the spiral, which is the full
+/// hexagon of radius `r` when n = 3r(r+1)+1), `annulus` (radius from
+/// `--radius`, default 3), `lshape`, `random` (Eden growth, seeded),
+/// `witness` (the Figure-3 configuration; ignores `--n`).
 pub fn build_shape(args: &Args, n: usize, seed: u64) -> ParticleSystem {
     let shape = args.get_string("shape").unwrap_or_else(|| "line".into());
     let points = match shape.as_str() {
         "line" => shapes::line(n),
-        "spiral" => shapes::spiral(n),
-        "hexagon" => {
-            // Smallest radius whose ball holds at least n cells; then trim.
-            let mut r = 0u32;
-            while 3 * (r as usize) * (r as usize + 1) + 1 < n {
-                r += 1;
-            }
-            let mut cells = shapes::spiral(n);
-            cells.truncate(n);
-            let _ = r;
-            cells
-        }
+        "spiral" | "hexagon" => shapes::spiral(n),
         "annulus" => shapes::annulus(args.get_usize("radius", 3) as u32),
         "lshape" => shapes::l_shape(n / 2 + n % 2, n / 2 + 1),
         "random" => shapes::random_connected(n, &mut StdRng::seed_from_u64(seed ^ 0x5eed)),
         "witness" => shapes::figure3_witness(),
         other => {
-            eprintln!("unknown shape: {other} (try line|spiral|annulus|lshape|random|witness)");
+            eprintln!(
+                "unknown shape: {other} (try line|spiral|hexagon|annulus|lshape|random|witness)"
+            );
             std::process::exit(2);
         }
     };

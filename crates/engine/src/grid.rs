@@ -161,7 +161,8 @@ impl FromStr for Algorithm {
 pub enum Shape {
     /// A straight line of `n` particles (the paper's canonical start).
     Line,
-    /// A hexagonal spiral of `n` particles (near-maximally compressed).
+    /// A hexagonal spiral of `n` particles (maximally compressed: achieves
+    /// `pmin(n)`).
     Spiral,
     /// An annulus of the given radius (starts with a hole; `n` is ignored).
     Annulus(u32),

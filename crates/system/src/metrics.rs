@@ -240,8 +240,9 @@ mod tests {
 
     #[test]
     fn spiral_is_maximally_compressed() {
-        for n in 1..150 {
-            let sys = ParticleSystem::connected(shapes::spiral(n)).unwrap();
+        let spiral = shapes::spiral(1000);
+        for n in 1..=spiral.len() {
+            let sys = ParticleSystem::connected(spiral[..n].iter().copied()).unwrap();
             assert_eq!(
                 sys.perimeter(),
                 pmin(n),

@@ -23,8 +23,14 @@
 //! The *configuration* of the system at any instant is the set of particle
 //! **tails** (heads are ignored; Section 2.2, footnote 2), exposed as
 //! [`LocalRunner::tail_system`].
+//!
+//! This module is the one home of the rule: `activate_one` runs steps 1–13
+//! against a `World` view of a particle's neighborhood. [`LocalRunner`]
+//! reads the flat view of its particle table; [`crate::sharded`] shares the
+//! same table and supplies a second view over one region cell and its halo.
 
 use core::cmp::Ordering;
+use core::fmt::Write as _;
 use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
@@ -100,35 +106,376 @@ impl Ord for Event {
     }
 }
 
-/// One occupied site as stored in the occupancy grid: the particle id in
-/// the high bits, the head/tail flag in bit 0.
+/// Largest `|x|` or `|y|` a restored particle site may have. The rule reads
+/// at most two sites beyond a tail and a tail moves one site per completed
+/// move, so a restored run would need about 2^30 moves in one direction
+/// before any `i32` coordinate arithmetic could overflow.
+const COORD_LIMIT: u32 = 1 << 30;
+
+/// One particle: its tail, its head while expanded, and the `flag` of
+/// steps 5–7.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
-    id: usize,
-    is_head: bool,
+pub(crate) struct Particle {
+    pub(crate) tail: TriPoint,
+    pub(crate) head: Option<TriPoint>,
+    pub(crate) flag: bool,
 }
 
-impl Slot {
-    #[inline]
-    fn encode(self) -> u32 {
-        debug_assert!(self.id < (1 << 31), "particle id exceeds 31 bits");
-        (self.id as u32) << 1 | u32::from(self.is_head)
-    }
+/// An occupancy-grid slot: the particle id in the high bits, the head/tail
+/// flag in bit 0.
+#[inline]
+pub(crate) fn pack_slot(id: usize, is_head: bool) -> u32 {
+    debug_assert!(id < (1 << 31), "particle id exceeds 31 bits");
+    (id as u32) << 1 | u32::from(is_head)
+}
 
-    #[inline]
-    fn decode(value: u32) -> Slot {
-        Slot {
-            id: (value >> 1) as usize,
-            is_head: value & 1 != 0,
+/// The `(id, is_head)` of a [`pack_slot`] value.
+#[inline]
+pub(crate) fn unpack_slot(value: u32) -> (usize, bool) {
+    ((value >> 1) as usize, value & 1 != 0)
+}
+
+/// The neighborhood view [`activate_one`] runs against: the flat particle
+/// table ([`FlatWorld`]) or one region cell plus its halo
+/// (`crate::sharded`). Its queries are exactly the ones the rule asks.
+pub(crate) trait World {
+    /// Is `p` occupied, by a head or a tail?
+    fn occupied(&self, p: TriPoint) -> bool;
+    /// Is `p` occupied by an expanded particle other than `id`?
+    fn expanded_other(&self, p: TriPoint, id: usize) -> bool;
+    /// Is `p` occupied by the tail of a particle other than `id`? This
+    /// realizes the paper's `N*(·)` neighborhoods.
+    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool;
+    fn get(&self, id: usize) -> Particle;
+    fn set(&mut self, id: usize, particle: Particle);
+    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool);
+    fn remove(&mut self, p: TriPoint);
+}
+
+/// Does `p` have a neighbor site occupied by an expanded particle other
+/// than `id` (at either that particle's head or tail)?
+fn has_expanded_neighbor(w: &impl World, p: TriPoint, id: usize) -> bool {
+    p.neighbors().any(|q| w.expanded_other(q, id))
+}
+
+/// Algorithm `A` for one activation of particle `id`: steps 1–13 of
+/// Section 3.2 over any [`World`] view. Each activation draws from `rng`
+/// exactly once — a direction when contracted, `q` when expanded — and
+/// snapshots, golden pins and the sharded differential all rely on that.
+#[inline]
+pub(crate) fn activate_one<W: World, R: Rng>(
+    w: &mut W,
+    id: usize,
+    lambda_pow: &[f64; 11],
+    rng: &mut R,
+) -> Activation {
+    let particle = w.get(id);
+    match particle.head {
+        None => {
+            // Step 2: choose ℓ′ uniformly among the six neighbors.
+            let dir = Direction::from_index(rng.gen_range(0..6usize));
+            let target = particle.tail + dir;
+            // Step 3: require ℓ′ unoccupied and no expanded neighbors of ℓ.
+            if w.occupied(target) || has_expanded_neighbor(w, particle.tail, id) {
+                return Activation::Idle { id };
+            }
+            // Step 4: expand.
+            w.insert(target, id, true);
+            // Steps 5–7: set the flag.
+            let flag = !has_expanded_neighbor(w, particle.tail, id)
+                && !has_expanded_neighbor(w, target, id);
+            w.set(
+                id,
+                Particle {
+                    head: Some(target),
+                    flag,
+                    ..particle
+                },
+            );
+            Activation::Expanded { id, flag }
+        }
+        Some(head) => {
+            // Step 8: draw q.
+            let q: f64 = rng.gen();
+            // Steps 9–10: neighbor counts over N*(·), excluding heads
+            // (including the particle's own head) and its own tail.
+            let dir = particle
+                .tail
+                .direction_to(head)
+                .expect("head is adjacent to tail by construction");
+            let ring = PairRing::new(particle.tail, dir);
+            let mask = ring.occupancy_mask(|p| w.tail_of_other(p, id));
+            let validity = MoveValidity::from_mask(mask, false);
+            // Step 11: the four conditions.
+            let delta = validity.edge_delta();
+            let accept = !validity.five_neighbor_blocked()
+                && (validity.property1 || validity.property2)
+                && q < lambda_pow[(delta + 5) as usize]
+                && particle.flag;
+            if accept {
+                // Step 12: contract to ℓ′.
+                w.remove(particle.tail);
+                w.insert(head, id, false);
+                w.set(
+                    id,
+                    Particle {
+                        tail: head,
+                        head: None,
+                        ..particle
+                    },
+                );
+                Activation::ContractedForward { id }
+            } else {
+                // Step 13: contract back to ℓ.
+                w.remove(head);
+                w.set(
+                    id,
+                    Particle {
+                        head: None,
+                        ..particle
+                    },
+                );
+                Activation::ContractedBack { id }
+            }
         }
     }
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Particle {
-    tail: TriPoint,
-    head: Option<TriPoint>,
-    flag: bool,
+/// The flat view: a whole particle table and its occupancy grid.
+struct FlatWorld<'a> {
+    particles: &'a mut [Particle],
+    occ: &'a mut TileGrid,
+}
+
+impl World for FlatWorld<'_> {
+    #[inline]
+    fn occupied(&self, p: TriPoint) -> bool {
+        self.occ.contains(p)
+    }
+
+    #[inline]
+    fn expanded_other(&self, p: TriPoint, id: usize) -> bool {
+        self.occ.get(p).is_some_and(|value| {
+            let (other, _) = unpack_slot(value);
+            other != id && self.particles[other].head.is_some()
+        })
+    }
+
+    #[inline]
+    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool {
+        self.occ.get(p).is_some_and(|value| {
+            let (other, is_head) = unpack_slot(value);
+            other != id && !is_head
+        })
+    }
+
+    fn get(&self, id: usize) -> Particle {
+        self.particles[id]
+    }
+
+    fn set(&mut self, id: usize, particle: Particle) {
+        self.particles[id] = particle;
+    }
+
+    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool) {
+        self.occ.insert(p, pack_slot(id, is_head));
+    }
+
+    fn remove(&mut self, p: TriPoint) {
+        self.occ.remove(p);
+    }
+}
+
+/// The state both local runners share: the particles, their flat occupancy
+/// grid, and the bias `λ` with its step-11 threshold table.
+#[derive(Clone, Debug)]
+pub(crate) struct ParticleTable {
+    pub(crate) particles: Vec<Particle>,
+    /// Site → [`pack_slot`] occupancy (tails and heads), bit-packed into
+    /// 8×8-site tiles so neighborhood probes stay word-level.
+    pub(crate) occ: TileGrid,
+    pub(crate) lambda: f64,
+    /// `λ^(i−5)`: the acceptance threshold for an edge delta of `i − 5`.
+    pub(crate) lambda_pow: [f64; 11],
+}
+
+impl ParticleTable {
+    fn new(particles: Vec<Particle>, occ: TileGrid, lambda: f64) -> ParticleTable {
+        ParticleTable {
+            particles,
+            occ,
+            lambda,
+            lambda_pow: std::array::from_fn(|k| lambda.powi(k as i32 - 5)),
+        }
+    }
+
+    /// Every particle contracted at the positions of `start`, which must be
+    /// connected.
+    pub(crate) fn contracted(
+        start: &ParticleSystem,
+        lambda: f64,
+    ) -> Result<ParticleTable, ChainError> {
+        if !lambda.is_finite() || lambda <= 0.0 {
+            return Err(ChainError::InvalidLambda(lambda));
+        }
+        if !start.is_connected() {
+            return Err(ChainError::NotConnected);
+        }
+        let particles: Vec<Particle> = start
+            .positions()
+            .iter()
+            .map(|&tail| Particle {
+                tail,
+                head: None,
+                flag: false,
+            })
+            .collect();
+        let mut occ = TileGrid::with_site_capacity(2 * particles.len());
+        for (id, p) in particles.iter().enumerate() {
+            occ.insert(p.tail, pack_slot(id, false));
+        }
+        Ok(ParticleTable::new(particles, occ, lambda))
+    }
+
+    /// Parses a snapshot's `lambda=` and `particles=` lines. Rejects a bad
+    /// λ, a malformed or empty particle list, a coordinate beyond
+    /// ±[`COORD_LIMIT`], a head not adjacent to its tail, and a site
+    /// occupied twice.
+    pub(crate) fn restore(fields: &snapshot::Fields<'_>) -> Result<ParticleTable, SnapshotError> {
+        let lambda = fields.parse_f64_bits("lambda")?;
+        if !lambda.is_finite() || lambda <= 0.0 {
+            return Err(SnapshotError::Invalid(format!("bad lambda {lambda}")));
+        }
+        let raw = fields.get("particles")?;
+        let bad = || SnapshotError::BadField {
+            field: "particles",
+            value: raw.to_string(),
+        };
+        let mut particles = Vec::new();
+        for item in raw.split(';').filter(|i| !i.is_empty()) {
+            let nums: Vec<i32> = item
+                .split(',')
+                .map(|t| t.parse().map_err(|_| bad()))
+                .collect::<Result<_, _>>()?;
+            let particle = match nums[..] {
+                [x, y, flag] => Particle {
+                    tail: TriPoint::new(x, y),
+                    head: None,
+                    flag: flag != 0,
+                },
+                [x, y, hx, hy, flag] => Particle {
+                    tail: TriPoint::new(x, y),
+                    head: Some(TriPoint::new(hx, hy)),
+                    flag: flag != 0,
+                },
+                _ => return Err(bad()),
+            };
+            let coords = &nums[..nums.len() - 1];
+            if coords.iter().any(|c| c.unsigned_abs() > COORD_LIMIT) {
+                return Err(SnapshotError::Invalid(format!(
+                    "particle {item} lies beyond ±{COORD_LIMIT}"
+                )));
+            }
+            if let Some(h) = particle.head {
+                if !particle.tail.is_adjacent(h) {
+                    return Err(SnapshotError::Invalid(format!(
+                        "head {h} not adjacent to tail {}",
+                        particle.tail
+                    )));
+                }
+            }
+            particles.push(particle);
+        }
+        if particles.is_empty() {
+            return Err(SnapshotError::Invalid("no particles".into()));
+        }
+        let mut occ = TileGrid::with_site_capacity(2 * particles.len());
+        for (id, p) in particles.iter().enumerate() {
+            if occ.insert(p.tail, pack_slot(id, false)).is_some() {
+                return Err(SnapshotError::Invalid(format!(
+                    "site {} occupied twice",
+                    p.tail
+                )));
+            }
+            if let Some(h) = p.head {
+                if occ.insert(h, pack_slot(id, true)).is_some() {
+                    return Err(SnapshotError::Invalid(format!("site {h} occupied twice")));
+                }
+            }
+        }
+        Ok(ParticleTable::new(particles, occ, lambda))
+    }
+
+    /// Appends the snapshot's `particles=` line: `x,y,flag` per contracted
+    /// and `x,y,hx,hy,flag` per expanded particle, `;`-separated, in id
+    /// order.
+    pub(crate) fn write_particles(&self, s: &mut String) {
+        s.push_str("particles=");
+        for (id, p) in self.particles.iter().enumerate() {
+            if id > 0 {
+                s.push(';');
+            }
+            let _ = write!(s, "{},{},", p.tail.x, p.tail.y);
+            if let Some(h) = p.head {
+                let _ = write!(s, "{},{},", h.x, h.y);
+            }
+            let _ = write!(s, "{}", u8::from(p.flag));
+        }
+        s.push('\n');
+    }
+
+    /// Algorithm `A` for one activation of particle `id` on the flat view.
+    #[inline]
+    pub(crate) fn activate<R: Rng>(&mut self, id: usize, rng: &mut R) -> Activation {
+        let mut world = FlatWorld {
+            particles: &mut self.particles,
+            occ: &mut self.occ,
+        };
+        activate_one(&mut world, id, &self.lambda_pow, rng)
+    }
+
+    pub(crate) fn len(&self) -> usize {
+        self.particles.len()
+    }
+
+    pub(crate) fn is_empty(&self) -> bool {
+        self.particles.is_empty()
+    }
+
+    pub(crate) fn is_expanded(&self, id: usize) -> bool {
+        self.particles[id].head.is_some()
+    }
+
+    /// The tails of all particles (heads ignored; Section 2.2 footnote 2).
+    pub(crate) fn tail_system(&self) -> ParticleSystem {
+        ParticleSystem::new(self.particles.iter().map(|p| p.tail))
+            .expect("tails are distinct by construction")
+    }
+
+    /// Panics unless every particle's tail and head hold its own slot and
+    /// the grid holds nothing else.
+    pub(crate) fn assert_invariants(&self) {
+        self.occ.assert_valid();
+        let mut slots = 0usize;
+        for (id, particle) in self.particles.iter().enumerate() {
+            assert_eq!(
+                self.occ.get(particle.tail),
+                Some(pack_slot(id, false)),
+                "tail slot mismatch at {}",
+                particle.tail
+            );
+            slots += 1;
+            if let Some(h) = particle.head {
+                assert_eq!(
+                    self.occ.get(h),
+                    Some(pack_slot(id, true)),
+                    "head slot mismatch at {h}"
+                );
+                slots += 1;
+            }
+        }
+        assert_eq!(slots, self.occ.len(), "slot count mismatch");
+    }
 }
 
 /// Discrete-event simulator for the asynchronous local algorithm `A`.
@@ -150,14 +497,9 @@ struct Particle {
 /// ```
 #[derive(Clone, Debug)]
 pub struct LocalRunner<R: Rng = StdRng> {
-    particles: Vec<Particle>,
-    /// Site → encoded [`Slot`] occupancy (tails and heads), bit-packed into
-    /// 8×8-site tiles so neighborhood probes stay word-level.
-    occ: TileGrid,
+    table: ParticleTable,
     queue: BinaryHeap<Event>,
     time: f64,
-    lambda_pow: [f64; 11],
-    lambda: f64,
     rng: R,
     activations: u64,
     moves_completed: u64,
@@ -194,29 +536,13 @@ impl LocalRunner<StdRng> {
     /// [`crate::snapshot`] for the format and guarantees.
     #[must_use]
     pub fn snapshot(&self) -> String {
-        use core::fmt::Write as _;
-        let particles: Vec<String> = self
-            .particles
-            .iter()
-            .map(|p| match p.head {
-                Some(h) => format!(
-                    "{},{},{},{},{}",
-                    p.tail.x,
-                    p.tail.y,
-                    h.x,
-                    h.y,
-                    u8::from(p.flag)
-                ),
-                None => format!("{},{},{}", p.tail.x, p.tail.y, u8::from(p.flag)),
-            })
-            .collect();
         let events: Vec<String> = self
             .queue
             .iter()
             .map(|e| format!("{}:{}", snapshot::f64_to_hex(e.time), e.id))
             .collect();
         let mut s = String::from("sops-local-snapshot v1\n");
-        let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.lambda));
+        let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.table.lambda));
         let _ = writeln!(s, "time={}", snapshot::f64_to_hex(self.time));
         let _ = writeln!(s, "activations={}", self.activations);
         let _ = writeln!(s, "moves={}", self.moves_completed);
@@ -229,7 +555,7 @@ impl LocalRunner<StdRng> {
             snapshot::bools_to_string(&self.activated_in_round)
         );
         let _ = writeln!(s, "rng={}", snapshot::rng_to_string(&self.rng));
-        let _ = writeln!(s, "particles={}", particles.join(";"));
+        self.table.write_particles(&mut s);
         let _ = writeln!(s, "queue={}", events.join(";"));
         s
     }
@@ -239,78 +565,23 @@ impl LocalRunner<StdRng> {
     /// # Errors
     ///
     /// [`SnapshotError`] when the text is malformed or describes an invalid
-    /// state (overlapping sites, a head not adjacent to its tail, an event
-    /// for an unknown particle, round bookkeeping that could never complete
-    /// a round, bad λ).
+    /// state (overlapping sites, a head not adjacent to its tail, a
+    /// coordinate beyond ±2^30, an event for an unknown particle, round
+    /// bookkeeping that could never complete a round, bad λ).
     pub fn restore(text: &str) -> Result<LocalRunner<StdRng>, SnapshotError> {
         let fields = snapshot::Fields::parse(text, "sops-local-snapshot v1")?;
-        let bad = |field: &'static str, value: &str| SnapshotError::BadField {
-            field,
-            value: value.to_string(),
-        };
-        let lambda = fields.parse_f64_bits("lambda")?;
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(SnapshotError::Invalid(format!("bad lambda {lambda}")));
-        }
-        let raw_particles = fields.get("particles")?;
-        let mut particles = Vec::new();
-        for item in raw_particles.split(';').filter(|i| !i.is_empty()) {
-            let nums: Vec<i32> = item
-                .split(',')
-                .map(|t| t.parse().map_err(|_| bad("particles", raw_particles)))
-                .collect::<Result<_, _>>()?;
-            let particle = match nums[..] {
-                [x, y, flag] => Particle {
-                    tail: TriPoint::new(x, y),
-                    head: None,
-                    flag: flag != 0,
-                },
-                [x, y, hx, hy, flag] => Particle {
-                    tail: TriPoint::new(x, y),
-                    head: Some(TriPoint::new(hx, hy)),
-                    flag: flag != 0,
-                },
-                _ => return Err(bad("particles", raw_particles)),
-            };
-            if let Some(h) = particle.head {
-                if !particle.tail.is_adjacent(h) {
-                    return Err(SnapshotError::Invalid(format!(
-                        "head {h} not adjacent to tail {}",
-                        particle.tail
-                    )));
-                }
-            }
-            particles.push(particle);
-        }
-        if particles.is_empty() {
-            return Err(SnapshotError::Invalid("no particles".into()));
-        }
-        let n = particles.len();
-        let mut occ = TileGrid::with_site_capacity(2 * n);
-        for (id, p) in particles.iter().enumerate() {
-            if occ
-                .insert(p.tail, Slot { id, is_head: false }.encode())
-                .is_some()
-            {
-                return Err(SnapshotError::Invalid(format!(
-                    "site {} occupied twice",
-                    p.tail
-                )));
-            }
-            if let Some(h) = p.head {
-                if occ.insert(h, Slot { id, is_head: true }.encode()).is_some() {
-                    return Err(SnapshotError::Invalid(format!("site {h} occupied twice")));
-                }
-            }
-        }
+        let table = ParticleTable::restore(&fields)?;
+        let n = table.len();
         let raw_queue = fields.get("queue")?;
+        let bad_queue = || SnapshotError::BadField {
+            field: "queue",
+            value: raw_queue.to_string(),
+        };
         let mut queue = BinaryHeap::with_capacity(n);
         let mut queued = vec![false; n];
         for item in raw_queue.split(';').filter(|i| !i.is_empty()) {
-            let (time_hex, id) = item
-                .split_once(':')
-                .ok_or_else(|| bad("queue", raw_queue))?;
-            let id: usize = id.parse().map_err(|_| bad("queue", raw_queue))?;
+            let (time_hex, id) = item.split_once(':').ok_or_else(bad_queue)?;
+            let id: usize = id.parse().map_err(|_| bad_queue())?;
             if id >= n {
                 return Err(SnapshotError::Invalid(format!(
                     "event for unknown particle {id}"
@@ -347,17 +618,10 @@ impl LocalRunner<StdRng> {
                 "remaining={remaining}, but {waiting} live particles await activation"
             )));
         }
-        let mut lambda_pow = [0.0; 11];
-        for (i, slot) in lambda_pow.iter_mut().enumerate() {
-            *slot = lambda.powi(i as i32 - 5);
-        }
         Ok(LocalRunner {
-            particles,
-            occ,
+            table,
             queue,
             time: fields.parse_f64_bits("time")?,
-            lambda_pow,
-            lambda,
             rng: snapshot::rng_from_string("rng", fields.get("rng")?)?,
             activations: fields.parse_num("activations")?,
             moves_completed: fields.parse_num("moves")?,
@@ -383,42 +647,17 @@ impl<R: Rng> LocalRunner<R> {
         lambda: f64,
         mut rng: R,
     ) -> Result<LocalRunner<R>, ChainError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(ChainError::InvalidLambda(lambda));
-        }
-        if !start.is_connected() {
-            return Err(ChainError::NotConnected);
-        }
-        let particles: Vec<Particle> = start
-            .positions()
-            .iter()
-            .map(|&tail| Particle {
-                tail,
-                head: None,
-                flag: false,
-            })
-            .collect();
-        let mut occ = TileGrid::with_site_capacity(2 * particles.len());
-        for (id, p) in particles.iter().enumerate() {
-            occ.insert(p.tail, Slot { id, is_head: false }.encode());
-        }
-        let mut lambda_pow = [0.0; 11];
-        for (i, slot) in lambda_pow.iter_mut().enumerate() {
-            *slot = lambda.powi(i as i32 - 5);
-        }
-        let n = particles.len();
+        let table = ParticleTable::contracted(start, lambda)?;
+        let n = table.len();
         let mut queue = BinaryHeap::with_capacity(n);
         for id in 0..n {
             let delay = exp1(&mut rng);
             queue.push(Event { time: delay, id });
         }
         Ok(LocalRunner {
-            particles,
-            occ,
+            table,
             queue,
             time: 0.0,
-            lambda_pow,
-            lambda,
             rng,
             activations: 0,
             moves_completed: 0,
@@ -434,7 +673,7 @@ impl<R: Rng> LocalRunner<R> {
     /// The bias parameter `λ`.
     #[must_use]
     pub fn lambda(&self) -> f64 {
-        self.lambda
+        self.table.lambda
     }
 
     /// Simulated (continuous) time elapsed.
@@ -472,19 +711,19 @@ impl<R: Rng> LocalRunner<R> {
     /// Number of particles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.particles.len()
+        self.table.len()
     }
 
     /// `true` if the runner has no particles (constructors forbid this).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+        self.table.is_empty()
     }
 
     /// Whether particle `id` is currently expanded.
     #[must_use]
     pub fn is_expanded(&self, id: usize) -> bool {
-        self.particles[id].head.is_some()
+        self.table.is_expanded(id)
     }
 
     /// Crashes particle `id`: it never activates again (Section 3.3). If it
@@ -507,8 +746,7 @@ impl<R: Rng> LocalRunner<R> {
     /// (heads ignored; Section 2.2 footnote 2).
     #[must_use]
     pub fn tail_system(&self) -> ParticleSystem {
-        ParticleSystem::new(self.particles.iter().map(|p| p.tail))
-            .expect("tails are distinct by construction")
+        self.table.tail_system()
     }
 
     /// Processes the next activation event. Returns `None` when no events
@@ -521,14 +759,9 @@ impl<R: Rng> LocalRunner<R> {
             return Some(Activation::Crashed { id });
         }
         self.activations += 1;
-        let outcome = self.activate(id);
-        match outcome {
-            Activation::Expanded { .. } => self.probes.expanded += 1,
-            Activation::ContractedForward { .. } => self.probes.contracted_forward += 1,
-            Activation::ContractedBack { .. } => self.probes.contracted_back += 1,
-            Activation::Idle { .. } => self.probes.idle += 1,
-            Activation::Crashed { .. } => {}
-        }
+        let outcome = self.table.activate(id, &mut self.rng);
+        self.moves_completed += u64::from(matches!(outcome, Activation::ContractedForward { .. }));
+        self.probes.record(outcome);
         // Reschedule with a fresh Exp(1) delay.
         let next = Event {
             time: self.time + exp1(&mut self.rng),
@@ -577,88 +810,6 @@ impl<R: Rng> LocalRunner<R> {
         }
     }
 
-    /// Algorithm `A` for one activation of particle `id`.
-    fn activate(&mut self, id: usize) -> Activation {
-        let particle = self.particles[id];
-        match particle.head {
-            None => self.activate_contracted(id, particle.tail),
-            Some(head) => self.activate_expanded(id, particle.tail, head),
-        }
-    }
-
-    /// Steps 1–7 of Algorithm `A` (contracted phase).
-    fn activate_contracted(&mut self, id: usize, tail: TriPoint) -> Activation {
-        // Step 2: choose ℓ′ uniformly among the six neighbors.
-        let dir = Direction::from_index(self.rng.gen_range(0..6usize));
-        let target = tail + dir;
-        // Step 3: require ℓ′ unoccupied and no expanded neighbors of ℓ.
-        if self.occ.contains(target) || self.has_expanded_neighbor(tail, id) {
-            return Activation::Idle { id };
-        }
-        // Step 4: expand.
-        self.occ.insert(target, Slot { id, is_head: true }.encode());
-        self.particles[id].head = Some(target);
-        // Steps 5–7: set the flag.
-        let flag = !self.has_expanded_neighbor(tail, id) && !self.has_expanded_neighbor(target, id);
-        self.particles[id].flag = flag;
-        Activation::Expanded { id, flag }
-    }
-
-    /// Steps 8–13 of Algorithm `A` (expanded phase).
-    fn activate_expanded(&mut self, id: usize, tail: TriPoint, head: TriPoint) -> Activation {
-        // Step 8: draw q.
-        let q: f64 = self.rng.gen();
-        // Steps 9–10: neighbor counts over N*(·), excluding heads (including
-        // the particle's own head) and the particle's own tail.
-        let dir = tail
-            .direction_to(head)
-            .expect("head is adjacent to tail by construction");
-        let ring = PairRing::new(tail, dir);
-        let mask = ring.occupancy_mask(|p| self.is_tail_of_other(p, id));
-        let validity = MoveValidity::from_mask(mask, false);
-        // Step 11: the four conditions.
-        let delta = validity.edge_delta();
-        let threshold = self.lambda_pow[(delta + 5) as usize];
-        let accept = !validity.five_neighbor_blocked()
-            && (validity.property1 || validity.property2)
-            && q < threshold
-            && self.particles[id].flag;
-        if accept {
-            // Step 12: contract to ℓ′.
-            self.occ.remove(tail);
-            self.occ.insert(head, Slot { id, is_head: false }.encode());
-            self.particles[id].tail = head;
-            self.particles[id].head = None;
-            self.moves_completed += 1;
-            Activation::ContractedForward { id }
-        } else {
-            // Step 13: contract back to ℓ.
-            self.occ.remove(head);
-            self.particles[id].head = None;
-            Activation::ContractedBack { id }
-        }
-    }
-
-    /// Does `p` have a neighbor site occupied by an expanded particle other
-    /// than `id` (at either that particle's head or tail)?
-    fn has_expanded_neighbor(&self, p: TriPoint, id: usize) -> bool {
-        p.neighbors().any(|q| {
-            self.occ.get(q).is_some_and(|value| {
-                let slot = Slot::decode(value);
-                slot.id != id && self.particles[slot.id].head.is_some()
-            })
-        })
-    }
-
-    /// Is `p` occupied by a non-head slot of a particle other than `id`?
-    /// This realizes the paper's `N*(·)` neighborhoods.
-    fn is_tail_of_other(&self, p: TriPoint, id: usize) -> bool {
-        self.occ.get(p).is_some_and(|value| {
-            let slot = Slot::decode(value);
-            slot.id != id && !slot.is_head
-        })
-    }
-
     /// Checks internal invariants (slot/particle agreement, tail
     /// distinctness, grid consistency). Intended for tests.
     ///
@@ -666,26 +817,7 @@ impl<R: Rng> LocalRunner<R> {
     ///
     /// Panics if any invariant fails.
     pub fn assert_invariants(&self) {
-        self.occ.assert_valid();
-        let mut slots = 0usize;
-        for (id, particle) in self.particles.iter().enumerate() {
-            assert_eq!(
-                self.occ.get(particle.tail),
-                Some(Slot { id, is_head: false }.encode()),
-                "tail slot mismatch at {}",
-                particle.tail
-            );
-            slots += 1;
-            if let Some(h) = particle.head {
-                assert_eq!(
-                    self.occ.get(h),
-                    Some(Slot { id, is_head: true }.encode()),
-                    "head slot mismatch at {h}"
-                );
-                slots += 1;
-            }
-        }
-        assert_eq!(slots, self.occ.len(), "slot count mismatch");
+        self.table.assert_invariants();
     }
 }
 
@@ -945,6 +1077,29 @@ mod tests {
         assert_eq!(b.rounds(), a.rounds());
     }
 
+    /// The snapshot of a one-particle runner with its `particles=` line
+    /// replaced.
+    fn lone_particle_at(particles: &str) -> String {
+        let sys = ParticleSystem::new([TriPoint::new(0, 0)]).unwrap();
+        let snap = LocalRunner::from_seed(&sys, 2.0, 1).unwrap().snapshot();
+        with_field(&snap, "particles", particles)
+    }
+
+    #[test]
+    fn restore_rejects_head_whose_adjacency_check_would_overflow() {
+        // `is_adjacent` would subtract across the whole i32 range.
+        assert_invalid(&lone_particle_at("-2147483648,0,2147483647,0,0"));
+    }
+
+    #[test]
+    fn restore_rejects_tail_whose_neighbors_would_overflow() {
+        // Without the bound this restores, and the first step east overflows.
+        assert_invalid(&lone_particle_at("2147483647,0,0"));
+        let mut edge = LocalRunner::restore(&lone_particle_at("1073741824,-1073741824,0")).unwrap();
+        edge.run_activations(100);
+        edge.assert_invariants();
+    }
+
     #[test]
     fn expanded_particles_block_neighbor_expansion() {
         // Run a while and verify that no two adjacent particles are ever
@@ -956,12 +1111,18 @@ mod tests {
             let expanded: Vec<usize> = (0..r.len()).filter(|&i| r.is_expanded(i)).collect();
             for &i in &expanded {
                 for &j in &expanded {
-                    if i >= j || !r.particles[i].flag || !r.particles[j].flag {
+                    if i >= j || !r.table.particles[i].flag || !r.table.particles[j].flag {
                         continue;
                     }
                     // Flagged expanded particles must not be adjacent.
-                    let pi = [r.particles[i].tail, r.particles[i].head.unwrap()];
-                    let pj = [r.particles[j].tail, r.particles[j].head.unwrap()];
+                    let pi = [
+                        r.table.particles[i].tail,
+                        r.table.particles[i].head.unwrap(),
+                    ];
+                    let pj = [
+                        r.table.particles[j].tail,
+                        r.table.particles[j].head.unwrap(),
+                    ];
                     for a in pi {
                         for b in pj {
                             assert!(

@@ -16,6 +16,8 @@
 
 use sops_telemetry::Histogram;
 
+use crate::local::Activation;
+
 /// Probes of [`crate::chain::CompressionChain`].
 #[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct ChainProbes {
@@ -60,5 +62,16 @@ impl LocalProbes {
     #[must_use]
     pub fn total(&self) -> u64 {
         self.expanded + self.contracted_forward + self.contracted_back + self.idle
+    }
+
+    /// Counts one activation outcome (a crashed activation counts nowhere).
+    pub(crate) fn record(&mut self, outcome: Activation) {
+        match outcome {
+            Activation::Expanded { .. } => self.expanded += 1,
+            Activation::ContractedForward { .. } => self.contracted_forward += 1,
+            Activation::ContractedBack { .. } => self.contracted_back += 1,
+            Activation::Idle { .. } => self.idle += 1,
+            Activation::Crashed { .. } => {}
+        }
     }
 }

@@ -9,10 +9,12 @@
 //! byte is impossible, because every activation consumes the next draws of
 //! a single stream in global event-time order.
 //!
-//! [`ShardedLocalRunner`] keeps the *particle rule* of Algorithm `A` —
-//! steps 1–13, verbatim, including the `flag` serialization protocol and
-//! the `N*` neighborhoods — but replaces the Poisson clocks with a fixed
-//! synchronous schedule built on [`RegionMap`]: each round visits the four
+//! [`ShardedLocalRunner`] runs the *particle rule* of Algorithm `A` —
+//! steps 1–13, including the `flag` serialization protocol and the `N*`
+//! neighborhoods — from its one home in [`crate::local`], and shares that
+//! module's particle table. This module adds no copy of the rule: it
+//! supplies a second neighborhood view (one region cell plus its halo) and
+//! replaces the Poisson clocks with a fixed synchronous schedule built on [`RegionMap`]: each round visits the four
 //! checkerboard colors in order; within a color, every region holding at
 //! least one live particle activates its particles once each, in particle-id
 //! order, consuming a private RNG stream seeded by SplitMix64-style mixing
@@ -46,12 +48,14 @@ use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use sops_lattice::{Direction, PairRing, RegionId, RegionMap, TileGrid, TriPoint, REGION_COLORS};
-use sops_system::{moves::MoveValidity, ParticleSystem};
+use rand::SeedableRng;
+use sops_lattice::{RegionId, RegionMap, TileGrid, TriPoint, REGION_COLORS};
+use sops_system::ParticleSystem;
 
 use crate::chain::ChainError;
-use crate::local::Activation;
+use crate::local::{
+    activate_one, pack_slot, unpack_slot, Activation, Particle, ParticleTable, World,
+};
 use crate::probes::LocalProbes;
 use crate::snapshot::{self, SnapshotError};
 
@@ -63,6 +67,9 @@ pub const DEFAULT_REGION_TILES: u32 = 2;
 /// Sites this close to a region border (or beyond it — overhang heads) are
 /// exported in the region's rim: the local rule reads at distance ≤ 2.
 const RIM_MARGIN: i32 = 2;
+
+/// The largest `region_tiles` that [`RegionMap::new`] keeps as given.
+const MAX_REGION_TILES: u32 = i32::MAX as u32 >> 4;
 
 /// Salt separating shard streams from every other seed-derived stream in
 /// the workspace (job child seeds, crash-victim streams, orientations).
@@ -86,176 +93,12 @@ pub fn region_stream_seed(seed: u64, region: RegionId, round: u64) -> u64 {
     mix(mix(mix(seed ^ SHARD_SALT) ^ key) ^ round)
 }
 
-#[derive(Clone, Copy, Debug)]
-struct Particle {
-    tail: TriPoint,
-    head: Option<TriPoint>,
-    flag: bool,
-}
-
-/// Occupancy slots in flat and cell grids: `(id << 1) | is_head`, the same
-/// packing the asynchronous runner uses.
-#[inline]
-fn encode_slot(id: usize, is_head: bool) -> u32 {
-    debug_assert!(id < (1 << 31), "particle id exceeds 31 bits");
-    (id as u32) << 1 | u32::from(is_head)
-}
-
-#[inline]
-fn decode_slot(value: u32) -> (usize, bool) {
-    ((value >> 1) as usize, value & 1 != 0)
-}
-
 /// Rim exports carry one extra bit so readers never need the owner's
 /// particle table: `(id << 2) | (expanded << 1) | is_head`.
 #[inline]
 fn encode_ghost(id: usize, is_head: bool, expanded: bool) -> u32 {
     debug_assert!(id < (1 << 30), "particle id exceeds 30 bits");
     (id as u32) << 2 | u32::from(expanded) << 1 | u32::from(is_head)
-}
-
-/// What one site lookup tells the particle rule: who is there, whether the
-/// slot is a head, and whether its owner is currently expanded.
-#[derive(Clone, Copy)]
-struct SiteInfo {
-    id: usize,
-    is_head: bool,
-    expanded: bool,
-}
-
-/// The bounded neighborhood view the particle rule runs against — backed
-/// by the flat grid (reference path) or by a cell grid plus halo (sharded
-/// path). Identical rule code over both views is what makes the
-/// differential test meaningful rather than tautological.
-trait World {
-    fn site(&self, p: TriPoint) -> Option<SiteInfo>;
-    fn get(&self, id: usize) -> Particle;
-    fn set(&mut self, id: usize, particle: Particle);
-    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool);
-    fn remove(&mut self, p: TriPoint);
-}
-
-fn has_expanded_neighbor(w: &impl World, p: TriPoint, id: usize) -> bool {
-    p.neighbors()
-        .any(|q| w.site(q).is_some_and(|s| s.id != id && s.expanded))
-}
-
-fn is_tail_of_other(w: &impl World, p: TriPoint, id: usize) -> bool {
-    w.site(p).is_some_and(|s| s.id != id && !s.is_head)
-}
-
-/// Algorithm `A` for one activation of particle `id` — the same steps 1–13
-/// as `LocalRunner::activate`, over an abstract neighborhood view.
-fn activate_one<W: World, R: Rng>(
-    w: &mut W,
-    id: usize,
-    lambda_pow: &[f64; 11],
-    rng: &mut R,
-) -> Activation {
-    let particle = w.get(id);
-    match particle.head {
-        None => {
-            // Step 2: choose ℓ′ uniformly among the six neighbors.
-            let dir = Direction::from_index(rng.gen_range(0..6usize));
-            let target = particle.tail + dir;
-            // Step 3: require ℓ′ unoccupied and no expanded neighbors of ℓ.
-            if w.site(target).is_some() || has_expanded_neighbor(w, particle.tail, id) {
-                return Activation::Idle { id };
-            }
-            // Step 4: expand.
-            w.insert(target, id, true);
-            // Steps 5–7: set the flag.
-            let flag = !has_expanded_neighbor(w, particle.tail, id)
-                && !has_expanded_neighbor(w, target, id);
-            w.set(
-                id,
-                Particle {
-                    head: Some(target),
-                    flag,
-                    ..particle
-                },
-            );
-            Activation::Expanded { id, flag }
-        }
-        Some(head) => {
-            // Step 8: draw q.
-            let q: f64 = rng.gen();
-            // Steps 9–10: neighbor counts over N*(·).
-            let dir = particle
-                .tail
-                .direction_to(head)
-                .expect("head is adjacent to tail by construction");
-            let ring = PairRing::new(particle.tail, dir);
-            let mask = ring.occupancy_mask(|p| is_tail_of_other(w, p, id));
-            let validity = MoveValidity::from_mask(mask, false);
-            // Step 11: the four conditions.
-            let delta = validity.edge_delta();
-            let accept = !validity.five_neighbor_blocked()
-                && (validity.property1 || validity.property2)
-                && q < lambda_pow[(delta + 5) as usize]
-                && particle.flag;
-            if accept {
-                // Step 12: contract to ℓ′.
-                w.remove(particle.tail);
-                w.insert(head, id, false);
-                w.set(
-                    id,
-                    Particle {
-                        tail: head,
-                        head: None,
-                        ..particle
-                    },
-                );
-                Activation::ContractedForward { id }
-            } else {
-                // Step 13: contract back to ℓ.
-                w.remove(head);
-                w.set(
-                    id,
-                    Particle {
-                        head: None,
-                        ..particle
-                    },
-                );
-                Activation::ContractedBack { id }
-            }
-        }
-    }
-}
-
-/// Reference view: the flat global grid and the full particle table.
-struct FlatWorld<'a> {
-    particles: &'a mut [Particle],
-    occ: &'a mut TileGrid,
-}
-
-impl World for FlatWorld<'_> {
-    fn site(&self, p: TriPoint) -> Option<SiteInfo> {
-        self.occ.get(p).map(|v| {
-            let (id, is_head) = decode_slot(v);
-            SiteInfo {
-                id,
-                is_head,
-                expanded: self.particles[id].head.is_some(),
-            }
-        })
-    }
-
-    fn get(&self, id: usize) -> Particle {
-        self.particles[id]
-    }
-
-    fn set(&mut self, id: usize, particle: Particle) {
-        self.particles[id] = particle;
-    }
-
-    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool) {
-        self.occ.insert(p, encode_slot(id, is_head));
-    }
-
-    fn remove(&mut self, p: TriPoint) {
-        self.occ.remove(p);
-    }
 }
 
 /// One region's owned state in the sharded representation: its particles
@@ -283,15 +126,22 @@ impl RegionCell {
             .expect("cell grid slot must belong to a cell particle")
     }
 
+    /// The ghost slot (see [`encode_ghost`]) of `p`, if the cell owns it.
+    fn ghost(&self, p: TriPoint) -> Option<u32> {
+        self.grid.get(p).map(|v| {
+            let (id, is_head) = unpack_slot(v);
+            let expanded = self.particles[self.lookup(id)].1.head.is_some();
+            encode_ghost(id, is_head, expanded)
+        })
+    }
+
     /// The rim export: every owned site outside the region or within
     /// [`RIM_MARGIN`] of its border, as ghost slots, in sorted site order.
     fn rim(&self, map: &RegionMap, scratch: &mut Vec<(u64, u32)>) -> Vec<(TriPoint, u32)> {
         let mut rim = Vec::new();
         self.grid.for_each_site_sorted(scratch, |p| {
             if map.is_rim_site(self.region, p, RIM_MARGIN) {
-                let (id, is_head) = decode_slot(self.grid.get(p).expect("iterated site"));
-                let expanded = self.particles[self.lookup(id)].1.head.is_some();
-                rim.push((p, encode_ghost(id, is_head, expanded)));
+                rim.push((p, self.ghost(p).expect("iterated site")));
             }
         });
         rim
@@ -303,52 +153,46 @@ impl RegionCell {
 /// color step, so their frozen ghosts read exactly what the flat grid
 /// would.
 struct CellWorld<'a> {
-    particles: &'a mut Vec<(usize, Particle)>,
-    grid: &'a mut TileGrid,
+    cell: &'a mut RegionCell,
     halo: &'a TileGrid,
 }
 
 impl CellWorld<'_> {
-    fn lookup(&self, id: usize) -> usize {
-        self.particles
-            .binary_search_by_key(&id, |e| e.0)
-            .expect("cell world indexes only owned particles")
+    fn ghost(&self, p: TriPoint) -> Option<u32> {
+        self.cell.ghost(p).or_else(|| self.halo.get(p))
     }
 }
 
 impl World for CellWorld<'_> {
-    fn site(&self, p: TriPoint) -> Option<SiteInfo> {
-        if let Some(v) = self.grid.get(p) {
-            let (id, is_head) = decode_slot(v);
-            let expanded = self.particles[self.lookup(id)].1.head.is_some();
-            return Some(SiteInfo {
-                id,
-                is_head,
-                expanded,
-            });
-        }
-        self.halo.get(p).map(|g| SiteInfo {
-            id: (g >> 2) as usize,
-            is_head: g & 1 != 0,
-            expanded: g & 2 != 0,
-        })
+    fn occupied(&self, p: TriPoint) -> bool {
+        self.cell.grid.contains(p) || self.halo.contains(p)
+    }
+
+    fn expanded_other(&self, p: TriPoint, id: usize) -> bool {
+        self.ghost(p)
+            .is_some_and(|g| (g >> 2) as usize != id && g & 2 != 0)
+    }
+
+    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool {
+        self.ghost(p)
+            .is_some_and(|g| (g >> 2) as usize != id && g & 1 == 0)
     }
 
     fn get(&self, id: usize) -> Particle {
-        self.particles[self.lookup(id)].1
+        self.cell.particles[self.cell.lookup(id)].1
     }
 
     fn set(&mut self, id: usize, particle: Particle) {
-        let at = self.lookup(id);
-        self.particles[at].1 = particle;
+        let at = self.cell.lookup(id);
+        self.cell.particles[at].1 = particle;
     }
 
     fn insert(&mut self, p: TriPoint, id: usize, is_head: bool) {
-        self.grid.insert(p, encode_slot(id, is_head));
+        self.cell.grid.insert(p, pack_slot(id, is_head));
     }
 
     fn remove(&mut self, p: TriPoint) {
-        self.grid.remove(p);
+        self.cell.grid.remove(p);
     }
 }
 
@@ -371,7 +215,6 @@ pub struct ShardStepOut {
     rim: Vec<(TriPoint, u32)>,
     emigrants: Vec<(usize, Particle)>,
     activations: u64,
-    moves: u64,
     probes: LocalProbes,
 }
 
@@ -401,25 +244,12 @@ impl ShardTask {
             .collect();
         let mut rng = StdRng::seed_from_u64(self.stream);
         let mut probes = LocalProbes::default();
-        let mut moves = 0u64;
-        {
-            let mut world = CellWorld {
-                particles: &mut self.cell.particles,
-                grid: &mut self.cell.grid,
-                halo: &halo,
-            };
-            for &id in &ids {
-                match activate_one(&mut world, id, &self.lambda_pow, &mut rng) {
-                    Activation::Expanded { .. } => probes.expanded += 1,
-                    Activation::ContractedForward { .. } => {
-                        probes.contracted_forward += 1;
-                        moves += 1;
-                    }
-                    Activation::ContractedBack { .. } => probes.contracted_back += 1,
-                    Activation::Idle { .. } => probes.idle += 1,
-                    Activation::Crashed { .. } => unreachable!("crashed ids are filtered"),
-                }
-            }
+        let mut world = CellWorld {
+            cell: &mut self.cell,
+            halo: &halo,
+        };
+        for &id in &ids {
+            probes.record(activate_one(&mut world, id, &self.lambda_pow, &mut rng));
         }
         // Extract emigrants: a forward contraction can move a tail across
         // the border (by at most one site, so always into an adjacent
@@ -446,7 +276,6 @@ impl ShardTask {
             rim,
             emigrants,
             activations: ids.len() as u64,
-            moves,
             probes,
         }
     }
@@ -497,11 +326,9 @@ struct ShardState {
 /// ```
 #[derive(Clone, Debug)]
 pub struct ShardedLocalRunner {
-    particles: Vec<Particle>,
-    /// Flat occupancy — authoritative between `run_rounds*` calls.
-    occ: TileGrid,
-    lambda: f64,
-    lambda_pow: [f64; 11],
+    /// Particles and flat occupancy — authoritative between `run_rounds*`
+    /// calls.
+    table: ParticleTable,
     seed: u64,
     map: RegionMap,
     rounds: u64,
@@ -540,35 +367,10 @@ impl ShardedLocalRunner {
         seed: u64,
         region_tiles: u32,
     ) -> Result<ShardedLocalRunner, ChainError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(ChainError::InvalidLambda(lambda));
-        }
-        if !start.is_connected() {
-            return Err(ChainError::NotConnected);
-        }
-        let particles: Vec<Particle> = start
-            .positions()
-            .iter()
-            .map(|&tail| Particle {
-                tail,
-                head: None,
-                flag: false,
-            })
-            .collect();
-        let mut occ = TileGrid::with_site_capacity(2 * particles.len());
-        for (id, p) in particles.iter().enumerate() {
-            occ.insert(p.tail, encode_slot(id, false));
-        }
-        let mut lambda_pow = [0.0; 11];
-        for (i, slot) in lambda_pow.iter_mut().enumerate() {
-            *slot = lambda.powi(i as i32 - 5);
-        }
-        let n = particles.len();
+        let table = ParticleTable::contracted(start, lambda)?;
+        let n = table.len();
         Ok(ShardedLocalRunner {
-            particles,
-            occ,
-            lambda,
-            lambda_pow,
+            table,
             seed,
             map: RegionMap::new(region_tiles),
             rounds: 0,
@@ -583,7 +385,7 @@ impl ShardedLocalRunner {
     /// The bias parameter `λ`.
     #[must_use]
     pub fn lambda(&self) -> f64 {
-        self.lambda
+        self.table.lambda
     }
 
     /// The region decomposition this runner schedules over.
@@ -621,19 +423,19 @@ impl ShardedLocalRunner {
     /// Number of particles.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.particles.len()
+        self.table.len()
     }
 
     /// `true` if the runner has no particles (constructors forbid this).
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+        self.table.is_empty()
     }
 
     /// Whether particle `id` is currently expanded.
     #[must_use]
     pub fn is_expanded(&self, id: usize) -> bool {
-        self.particles[id].head.is_some()
+        self.table.is_expanded(id)
     }
 
     /// Crashes particle `id`: it never activates again but keeps occupying
@@ -649,8 +451,7 @@ impl ShardedLocalRunner {
     /// The configuration as defined by the paper: tails of all particles.
     #[must_use]
     pub fn tail_system(&self) -> ParticleSystem {
-        ParticleSystem::new(self.particles.iter().map(|p| p.tail))
-            .expect("tails are distinct by construction")
+        self.table.tail_system()
     }
 
     /// Runs `r` rounds with the **unsharded reference** implementation:
@@ -663,7 +464,7 @@ impl ShardedLocalRunner {
                 // therefore activate twice in a round — or not at all —
                 // identically in both implementations).
                 let mut buckets: BTreeMap<RegionId, Vec<usize>> = BTreeMap::new();
-                for (id, p) in self.particles.iter().enumerate() {
+                for (id, p) in self.table.particles.iter().enumerate() {
                     if self.crashed[id] {
                         continue;
                     }
@@ -677,20 +478,10 @@ impl ShardedLocalRunner {
                         StdRng::seed_from_u64(region_stream_seed(self.seed, *region, round));
                     for &id in ids {
                         self.activations += 1;
-                        let mut world = FlatWorld {
-                            particles: &mut self.particles,
-                            occ: &mut self.occ,
-                        };
-                        match activate_one(&mut world, id, &self.lambda_pow, &mut rng) {
-                            Activation::Expanded { .. } => self.probes.expanded += 1,
-                            Activation::ContractedForward { .. } => {
-                                self.probes.contracted_forward += 1;
-                                self.moves_completed += 1;
-                            }
-                            Activation::ContractedBack { .. } => self.probes.contracted_back += 1,
-                            Activation::Idle { .. } => self.probes.idle += 1,
-                            Activation::Crashed { .. } => unreachable!("crashed ids are skipped"),
-                        }
+                        let outcome = self.table.activate(id, &mut rng);
+                        self.moves_completed +=
+                            u64::from(matches!(outcome, Activation::ContractedForward { .. }));
+                        self.probes.record(outcome);
                     }
                 }
             }
@@ -737,7 +528,7 @@ impl ShardedLocalRunner {
                         cell,
                         halo,
                         stream: region_stream_seed(self.seed, *region, round),
-                        lambda_pow: self.lambda_pow,
+                        lambda_pow: self.table.lambda_pow,
                         crashed,
                         map: self.map,
                     });
@@ -750,7 +541,7 @@ impl ShardedLocalRunner {
                 for (region, out) in active.iter().zip(outs) {
                     debug_assert_eq!(*region, out.cell.region, "executor reordered outputs");
                     self.activations += out.activations;
-                    self.moves_completed += out.moves;
+                    self.moves_completed += out.probes.contracted_forward;
                     self.probes.expanded += out.probes.expanded;
                     self.probes.contracted_forward += out.probes.contracted_forward;
                     self.probes.contracted_back += out.probes.contracted_back;
@@ -773,7 +564,7 @@ impl ShardedLocalRunner {
                             .binary_search_by_key(&id, |e| e.0)
                             .expect_err("particle cannot already live in dest");
                         cell.particles.insert(at, (id, p));
-                        cell.grid.insert(p.tail, encode_slot(id, false));
+                        cell.grid.insert(p.tail, pack_slot(id, false));
                         if !dirty.contains(&dest) {
                             dirty.push(dest);
                         }
@@ -792,15 +583,15 @@ impl ShardedLocalRunner {
     /// Builds the sharded representation from the flat state.
     fn build_cells(&self) -> ShardState {
         let mut cells: BTreeMap<RegionId, RegionCell> = BTreeMap::new();
-        for (id, p) in self.particles.iter().enumerate() {
+        for (id, p) in self.table.particles.iter().enumerate() {
             let region = self.map.region_of(p.tail);
             let cell = cells
                 .entry(region)
                 .or_insert_with(|| RegionCell::new(region));
             cell.particles.push((id, *p)); // ascending id by construction
-            cell.grid.insert(p.tail, encode_slot(id, false));
+            cell.grid.insert(p.tail, pack_slot(id, false));
             if let Some(h) = p.head {
-                cell.grid.insert(h, encode_slot(id, true));
+                cell.grid.insert(h, pack_slot(id, true));
             }
         }
         let mut scratch = Vec::new();
@@ -813,13 +604,14 @@ impl ShardedLocalRunner {
 
     /// Writes the sharded representation back into the flat state.
     fn flatten(&mut self, state: ShardState) {
-        self.occ.clear();
+        let table = &mut self.table;
+        table.occ.clear();
         for cell in state.cells.into_values() {
             for (id, p) in cell.particles {
-                self.particles[id] = p;
-                self.occ.insert(p.tail, encode_slot(id, false));
+                table.particles[id] = p;
+                table.occ.insert(p.tail, pack_slot(id, false));
                 if let Some(h) = p.head {
-                    self.occ.insert(h, encode_slot(id, true));
+                    table.occ.insert(h, pack_slot(id, true));
                 }
             }
         }
@@ -833,30 +625,15 @@ impl ShardedLocalRunner {
     #[must_use]
     pub fn snapshot(&self) -> String {
         use core::fmt::Write as _;
-        let particles: Vec<String> = self
-            .particles
-            .iter()
-            .map(|p| match p.head {
-                Some(h) => format!(
-                    "{},{},{},{},{}",
-                    p.tail.x,
-                    p.tail.y,
-                    h.x,
-                    h.y,
-                    u8::from(p.flag)
-                ),
-                None => format!("{},{},{}", p.tail.x, p.tail.y, u8::from(p.flag)),
-            })
-            .collect();
         let mut s = String::from("sops-sharded-snapshot v1\n");
-        let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.lambda));
+        let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.table.lambda));
         let _ = writeln!(s, "seed={}", self.seed);
         let _ = writeln!(s, "region_tiles={}", self.map.region_tiles());
         let _ = writeln!(s, "rounds={}", self.rounds);
         let _ = writeln!(s, "activations={}", self.activations);
         let _ = writeln!(s, "moves={}", self.moves_completed);
         let _ = writeln!(s, "crashed={}", snapshot::bools_to_string(&self.crashed));
-        let _ = writeln!(s, "particles={}", particles.join(";"));
+        self.table.write_particles(&mut s);
         s
     }
 
@@ -865,78 +642,30 @@ impl ShardedLocalRunner {
     /// # Errors
     ///
     /// [`SnapshotError`] when the text is malformed or describes an invalid
-    /// state (overlapping sites, a head not adjacent to its tail, bad λ).
+    /// state (overlapping sites, a head not adjacent to its tail, a
+    /// coordinate beyond ±2^30, bad λ, `region_tiles` that
+    /// [`RegionMap::new`] would clamp).
+    //
+    // Trust audit: unlike the asynchronous runner's `remaining=`/`queue=`
+    // bookkeeping, nothing here can make `run_rounds` hang — sharded rounds
+    // are counted, not event-driven, so every field only shapes the state.
     pub fn restore(text: &str) -> Result<ShardedLocalRunner, SnapshotError> {
         let fields = snapshot::Fields::parse(text, "sops-sharded-snapshot v1")?;
-        let bad = |field: &'static str, value: &str| SnapshotError::BadField {
-            field,
-            value: value.to_string(),
-        };
-        let lambda = fields.parse_f64_bits("lambda")?;
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(SnapshotError::Invalid(format!("bad lambda {lambda}")));
-        }
-        let raw_particles = fields.get("particles")?;
-        let mut particles = Vec::new();
-        for item in raw_particles.split(';').filter(|i| !i.is_empty()) {
-            let nums: Vec<i32> = item
-                .split(',')
-                .map(|t| t.parse().map_err(|_| bad("particles", raw_particles)))
-                .collect::<Result<_, _>>()?;
-            let particle = match nums[..] {
-                [x, y, flag] => Particle {
-                    tail: TriPoint::new(x, y),
-                    head: None,
-                    flag: flag != 0,
-                },
-                [x, y, hx, hy, flag] => Particle {
-                    tail: TriPoint::new(x, y),
-                    head: Some(TriPoint::new(hx, hy)),
-                    flag: flag != 0,
-                },
-                _ => return Err(bad("particles", raw_particles)),
-            };
-            if let Some(h) = particle.head {
-                if !particle.tail.is_adjacent(h) {
-                    return Err(SnapshotError::Invalid(format!(
-                        "head {h} not adjacent to tail {}",
-                        particle.tail
-                    )));
-                }
-            }
-            particles.push(particle);
-        }
-        if particles.is_empty() {
-            return Err(SnapshotError::Invalid("no particles".into()));
-        }
-        let n = particles.len();
-        let mut occ = TileGrid::with_site_capacity(2 * n);
-        for (id, p) in particles.iter().enumerate() {
-            if occ.insert(p.tail, encode_slot(id, false)).is_some() {
-                return Err(SnapshotError::Invalid(format!(
-                    "site {} occupied twice",
-                    p.tail
-                )));
-            }
-            if let Some(h) = p.head {
-                if occ.insert(h, encode_slot(id, true)).is_some() {
-                    return Err(SnapshotError::Invalid(format!("site {h} occupied twice")));
-                }
-            }
-        }
-        let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, n)?;
+        let table = ParticleTable::restore(&fields)?;
+        let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, table.len())?;
         let live = crashed.iter().filter(|&&dead| !dead).count();
-        let mut lambda_pow = [0.0; 11];
-        for (i, slot) in lambda_pow.iter_mut().enumerate() {
-            *slot = lambda.powi(i as i32 - 5);
+        let seed = fields.parse_num("seed")?;
+        // A value `RegionMap::new` would clamp re-snapshots to other bytes.
+        let region_tiles: u32 = fields.parse_num("region_tiles")?;
+        if !(1..=MAX_REGION_TILES).contains(&region_tiles) {
+            return Err(SnapshotError::Invalid(format!(
+                "region_tiles={region_tiles} outside 1..={MAX_REGION_TILES}"
+            )));
         }
         Ok(ShardedLocalRunner {
-            particles,
-            occ,
-            lambda,
-            lambda_pow,
-            seed: fields.parse_num("seed")?,
-            map: RegionMap::new(fields.parse_num("region_tiles")?),
+            table,
+            seed,
+            map: RegionMap::new(region_tiles),
             rounds: fields.parse_num("rounds")?,
             activations: fields.parse_num("activations")?,
             moves_completed: fields.parse_num("moves")?,
@@ -953,26 +682,7 @@ impl ShardedLocalRunner {
     ///
     /// Panics if any invariant fails.
     pub fn assert_invariants(&self) {
-        self.occ.assert_valid();
-        let mut slots = 0usize;
-        for (id, particle) in self.particles.iter().enumerate() {
-            assert_eq!(
-                self.occ.get(particle.tail),
-                Some(encode_slot(id, false)),
-                "tail slot mismatch at {}",
-                particle.tail
-            );
-            slots += 1;
-            if let Some(h) = particle.head {
-                assert_eq!(
-                    self.occ.get(h),
-                    Some(encode_slot(id, true)),
-                    "head slot mismatch at {h}"
-                );
-                slots += 1;
-            }
-        }
-        assert_eq!(slots, self.occ.len(), "slot count mismatch");
+        self.table.assert_invariants();
         assert_eq!(
             self.live,
             self.crashed.iter().filter(|&&dead| !dead).count(),
@@ -1081,6 +791,56 @@ mod tests {
         assert!(ShardedLocalRunner::restore(&corrupt).is_err());
         let overlap = snap.replace("particles=0,0,0;", "particles=1,0,0;");
         assert!(ShardedLocalRunner::restore(&overlap).is_err());
+    }
+
+    fn assert_invalid(text: &str) {
+        assert!(matches!(
+            ShardedLocalRunner::restore(text),
+            Err(SnapshotError::Invalid(_))
+        ));
+    }
+
+    /// The snapshot of a one-particle runner with its `particles=` line
+    /// replaced.
+    fn lone_particle_at(particles: &str) -> String {
+        let sys = ParticleSystem::new([TriPoint::new(0, 0)]).unwrap();
+        let snap = ShardedLocalRunner::from_seed(&sys, 2.0, 1)
+            .unwrap()
+            .snapshot();
+        snap.replace("particles=0,0,0", &format!("particles={particles}"))
+    }
+
+    #[test]
+    fn restore_rejects_head_whose_adjacency_check_would_overflow() {
+        // `is_adjacent` would subtract across the whole i32 range.
+        assert_invalid(&lone_particle_at("-2147483648,0,2147483647,0,0"));
+    }
+
+    #[test]
+    fn restore_rejects_tail_whose_neighbors_would_overflow() {
+        // Without the bound this restores, and the first step east overflows.
+        assert_invalid(&lone_particle_at("2147483647,0,0"));
+        let text = lone_particle_at("1073741824,-1073741824,0");
+        let mut flat = ShardedLocalRunner::restore(&text).unwrap();
+        let mut sharded = ShardedLocalRunner::restore(&text).unwrap();
+        flat.run_rounds(50);
+        sharded.run_rounds_with(50, &SerialExecutor);
+        assert_eq!(flat.snapshot(), sharded.snapshot());
+    }
+
+    #[test]
+    fn restore_rejects_region_tiles_the_map_would_clamp() {
+        let snap = runner(6, 4.0, 2).snapshot();
+        let with_tiles = |t: u32| snap.replace("region_tiles=2", &format!("region_tiles={t}"));
+        // `RegionMap::new` would silently turn these into 1 and 2^27 - 1.
+        assert_invalid(&with_tiles(0));
+        assert_invalid(&with_tiles(MAX_REGION_TILES + 1));
+        for t in [1, MAX_REGION_TILES] {
+            let mut r = ShardedLocalRunner::restore(&with_tiles(t)).unwrap();
+            assert_eq!(r.snapshot(), with_tiles(t), "region_tiles={t} round-trips");
+            r.run_rounds_with(3, &SerialExecutor);
+            r.assert_invariants();
+        }
     }
 
     #[test]

@@ -1,6 +1,8 @@
-//! Event throughput of the asynchronous local-algorithm simulator.
+//! Event throughput of the asynchronous local-algorithm simulator, and
+//! round cost of the checkerboard runner's flat and sharded paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use sops::core::sharded::{SerialExecutor, ShardedLocalRunner};
 use sops::prelude::*;
 
 fn bench_activations(c: &mut Criterion) {
@@ -23,5 +25,28 @@ fn bench_activations(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_activations);
+/// One checkerboard round at n = 20000 from a random connected start, on
+/// a runner warmed by a few rounds: the sharded machinery on one thread
+/// (`run_rounds_with(SerialExecutor)`: cells, halos, rims, merge) against
+/// the flat reference (`run_rounds`).
+fn bench_rounds(c: &mut Criterion) {
+    let mut group = c.benchmark_group("local_sim");
+    let n = 20_000usize;
+    let mut rng = StdRng::seed_from_u64(2016);
+    let start = ParticleSystem::connected(shapes::random_connected(n, &mut rng)).unwrap();
+    group.throughput(Throughput::Elements(n as u64));
+    group.bench_with_input(BenchmarkId::new("sharded_round", n), &n, |b, _| {
+        let mut runner = ShardedLocalRunner::from_seed(&start, 4.0, 7).unwrap();
+        runner.run_rounds_with(5, &SerialExecutor);
+        b.iter(|| runner.run_rounds_with(1, &SerialExecutor));
+    });
+    group.bench_with_input(BenchmarkId::new("flat_round", n), &n, |b, _| {
+        let mut runner = ShardedLocalRunner::from_seed(&start, 4.0, 7).unwrap();
+        runner.run_rounds(5);
+        b.iter(|| runner.run_rounds(1));
+    });
+    group.finish();
+}
+
+criterion_group!(benches, bench_activations, bench_rounds);
 criterion_main!(benches);

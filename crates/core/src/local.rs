@@ -121,35 +121,72 @@ pub(crate) struct Particle {
     pub(crate) flag: bool,
 }
 
-/// An occupancy-grid slot: the particle id in the high bits, the head/tail
-/// flag in bit 0.
+/// An occupancy-grid slot, the same in both local runners' grids:
+/// `(id << 2) | (expanded << 1) | is_head`. Carrying the owner's expanded
+/// bit lets the rule's neighbor queries answer from the grid alone, without
+/// reading another particle's state.
 #[inline]
-pub(crate) fn pack_slot(id: usize, is_head: bool) -> u32 {
-    debug_assert!(id < (1 << 31), "particle id exceeds 31 bits");
-    (id as u32) << 1 | u32::from(is_head)
+pub(crate) fn pack_slot(id: usize, is_head: bool, expanded: bool) -> u32 {
+    debug_assert!(id < (1 << 30), "particle id exceeds 30 bits");
+    let expanded = if expanded { SLOT_EXPANDED } else { 0 };
+    let head = if is_head { SLOT_HEAD } else { 0 };
+    (id as u32) << 2 | expanded | head
 }
 
-/// The `(id, is_head)` of a [`pack_slot`] value.
+/// [`pack_slot`]'s bit for a head site.
+const SLOT_HEAD: u32 = 1;
+
+/// [`pack_slot`]'s bit for a site of an expanded particle.
+const SLOT_EXPANDED: u32 = 2;
+
+/// The owner id of a [`pack_slot`] value.
 #[inline]
-pub(crate) fn unpack_slot(value: u32) -> (usize, bool) {
-    ((value >> 1) as usize, value & 1 != 0)
+fn slot_owner(slot: u32) -> usize {
+    (slot >> 2) as usize
+}
+
+/// Writes particle `p`'s slots into `grid`: its tail and, while expanded,
+/// its head. Returns the first site that was already occupied, if any.
+pub(crate) fn occupy(grid: &mut TileGrid, id: usize, p: &Particle) -> Result<(), TriPoint> {
+    let tail = pack_slot(id, false, p.head.is_some());
+    if grid.insert(p.tail, tail).is_some() {
+        return Err(p.tail);
+    }
+    match p.head {
+        Some(h) if grid.insert(h, pack_slot(id, true, true)).is_some() => Err(h),
+        _ => Ok(()),
+    }
 }
 
 /// The neighborhood view [`activate_one`] runs against: the flat particle
 /// table ([`FlatWorld`]) or one region cell plus its halo
 /// (`crate::sharded`). Its queries are exactly the ones the rule asks.
 pub(crate) trait World {
+    /// The [`pack_slot`] value at `p`, if occupied.
+    fn slot(&self, p: TriPoint) -> Option<u32>;
     /// Is `p` occupied, by a head or a tail?
     fn occupied(&self, p: TriPoint) -> bool;
+    /// The acting particle's state (the rule reads no other particle's).
+    fn get(&self, id: usize) -> Particle;
+    /// Stores the acting particle's new state, after its slots moved.
+    fn set(&mut self, id: usize, particle: Particle);
+    /// Writes `slot` at `p`, a site of the acting particle.
+    fn write(&mut self, p: TriPoint, slot: u32);
+    /// Vacates `p`, a site of the acting particle.
+    fn remove(&mut self, p: TriPoint);
+
     /// Is `p` occupied by an expanded particle other than `id`?
-    fn expanded_other(&self, p: TriPoint, id: usize) -> bool;
+    fn expanded_other(&self, p: TriPoint, id: usize) -> bool {
+        self.slot(p)
+            .is_some_and(|s| slot_owner(s) != id && s & SLOT_EXPANDED != 0)
+    }
+
     /// Is `p` occupied by the tail of a particle other than `id`? This
     /// realizes the paper's `N*(·)` neighborhoods.
-    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool;
-    fn get(&self, id: usize) -> Particle;
-    fn set(&mut self, id: usize, particle: Particle);
-    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool);
-    fn remove(&mut self, p: TriPoint);
+    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool {
+        self.slot(p)
+            .is_some_and(|s| slot_owner(s) != id && s & SLOT_HEAD == 0)
+    }
 }
 
 /// Does `p` have a neighbor site occupied by an expanded particle other
@@ -180,7 +217,8 @@ pub(crate) fn activate_one<W: World, R: Rng>(
                 return Activation::Idle { id };
             }
             // Step 4: expand.
-            w.insert(target, id, true);
+            w.write(target, pack_slot(id, true, true));
+            w.write(particle.tail, pack_slot(id, false, true));
             // Steps 5–7: set the flag.
             let flag = !has_expanded_neighbor(w, particle.tail, id)
                 && !has_expanded_neighbor(w, target, id);
@@ -215,7 +253,7 @@ pub(crate) fn activate_one<W: World, R: Rng>(
             if accept {
                 // Step 12: contract to ℓ′.
                 w.remove(particle.tail);
-                w.insert(head, id, false);
+                w.write(head, pack_slot(id, false, false));
                 w.set(
                     id,
                     Particle {
@@ -228,6 +266,7 @@ pub(crate) fn activate_one<W: World, R: Rng>(
             } else {
                 // Step 13: contract back to ℓ.
                 w.remove(head);
+                w.write(particle.tail, pack_slot(id, false, false));
                 w.set(
                     id,
                     Particle {
@@ -242,31 +281,20 @@ pub(crate) fn activate_one<W: World, R: Rng>(
 }
 
 /// The flat view: a whole particle table and its occupancy grid.
-struct FlatWorld<'a> {
-    particles: &'a mut [Particle],
-    occ: &'a mut TileGrid,
+pub(crate) struct FlatWorld<'a> {
+    pub(crate) particles: &'a mut [Particle],
+    pub(crate) occ: &'a mut TileGrid,
 }
 
 impl World for FlatWorld<'_> {
     #[inline]
+    fn slot(&self, p: TriPoint) -> Option<u32> {
+        self.occ.get(p)
+    }
+
+    #[inline]
     fn occupied(&self, p: TriPoint) -> bool {
         self.occ.contains(p)
-    }
-
-    #[inline]
-    fn expanded_other(&self, p: TriPoint, id: usize) -> bool {
-        self.occ.get(p).is_some_and(|value| {
-            let (other, _) = unpack_slot(value);
-            other != id && self.particles[other].head.is_some()
-        })
-    }
-
-    #[inline]
-    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool {
-        self.occ.get(p).is_some_and(|value| {
-            let (other, is_head) = unpack_slot(value);
-            other != id && !is_head
-        })
     }
 
     fn get(&self, id: usize) -> Particle {
@@ -277,8 +305,8 @@ impl World for FlatWorld<'_> {
         self.particles[id] = particle;
     }
 
-    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool) {
-        self.occ.insert(p, pack_slot(id, is_head));
+    fn write(&mut self, p: TriPoint, slot: u32) {
+        self.occ.insert(p, slot);
     }
 
     fn remove(&mut self, p: TriPoint) {
@@ -330,9 +358,11 @@ impl ParticleTable {
                 flag: false,
             })
             .collect();
-        let mut occ = TileGrid::with_site_capacity(2 * particles.len());
+        // Grown from minimal: a compact start claims ~n/64 tiles, and the
+        // table sizes itself to the live tiles (see `TileGrid::new`).
+        let mut occ = TileGrid::new();
         for (id, p) in particles.iter().enumerate() {
-            occ.insert(p.tail, pack_slot(id, false));
+            occupy(&mut occ, id, p).expect("start positions are distinct");
         }
         Ok(ParticleTable::new(particles, occ, lambda))
     }
@@ -389,19 +419,10 @@ impl ParticleTable {
         if particles.is_empty() {
             return Err(SnapshotError::Invalid("no particles".into()));
         }
-        let mut occ = TileGrid::with_site_capacity(2 * particles.len());
+        let mut occ = TileGrid::new();
         for (id, p) in particles.iter().enumerate() {
-            if occ.insert(p.tail, pack_slot(id, false)).is_some() {
-                return Err(SnapshotError::Invalid(format!(
-                    "site {} occupied twice",
-                    p.tail
-                )));
-            }
-            if let Some(h) = p.head {
-                if occ.insert(h, pack_slot(id, true)).is_some() {
-                    return Err(SnapshotError::Invalid(format!("site {h} occupied twice")));
-                }
-            }
+            occupy(&mut occ, id, p)
+                .map_err(|site| SnapshotError::Invalid(format!("site {site} occupied twice")))?;
         }
         Ok(ParticleTable::new(particles, occ, lambda))
     }
@@ -460,7 +481,7 @@ impl ParticleTable {
         for (id, particle) in self.particles.iter().enumerate() {
             assert_eq!(
                 self.occ.get(particle.tail),
-                Some(pack_slot(id, false)),
+                Some(pack_slot(id, false, particle.head.is_some())),
                 "tail slot mismatch at {}",
                 particle.tail
             );
@@ -468,7 +489,7 @@ impl ParticleTable {
             if let Some(h) = particle.head {
                 assert_eq!(
                     self.occ.get(h),
-                    Some(pack_slot(id, true)),
+                    Some(pack_slot(id, true, true)),
                     "head slot mismatch at {h}"
                 );
                 slots += 1;

@@ -14,11 +14,12 @@
 //! neighborhoods — from its one home in [`crate::local`], and shares that
 //! module's particle table. This module adds no copy of the rule: it
 //! supplies a second neighborhood view (one region cell plus its halo) and
-//! replaces the Poisson clocks with a fixed synchronous schedule built on [`RegionMap`]: each round visits the four
-//! checkerboard colors in order; within a color, every region holding at
-//! least one live particle activates its particles once each, in particle-id
-//! order, consuming a private RNG stream seeded by SplitMix64-style mixing
-//! of `(seed, region, round)`. Regions of the same color are at least one
+//! replaces the Poisson clocks with a fixed synchronous schedule built on
+//! [`RegionMap`]: each round visits the four checkerboard colors in order;
+//! within a color, every region holding at least one live particle
+//! activates its particles once each, in particle-id order, consuming a
+//! private RNG stream seeded by SplitMix64-style mixing of
+//! `(seed, region, round)`. Regions of the same color are at least one
 //! full region apart — farther than the rule's read radius of 2 sites — so
 //! their updates commute and the trajectory is a pure function of
 //! `(start, λ, seed, region_tiles)`.
@@ -30,11 +31,20 @@
 //! * [`ShardedLocalRunner::run_rounds`] — the **unsharded reference**: one
 //!   flat occupancy grid, one sequential pass in schedule order.
 //! * [`ShardedLocalRunner::run_rounds_with`] — the **sharded executor**:
-//!   per-region cells own their particles and a private [`TileGrid`];
-//!   each color step ships the active cells to a [`StepExecutor`] as
-//!   self-contained [`ShardTask`]s (cell + halo of neighbor rims + stream
-//!   seed); boundary state moves as rim exports and emigrant particles at
-//!   deterministic merge points.
+//!   per-region cells own their particles and a private [`TileGrid`] of
+//!   their slots; each color step ships the active cells to a
+//!   [`StepExecutor`] as self-contained [`ShardTask`]s (cell + neighbor
+//!   rims + stream seed); boundary state moves as rim exports and emigrant
+//!   particles at deterministic merge points.
+//!
+//! Rims and halos work a tile word at a time. A cell's rim is its grid's
+//! tiles masked to the sites within 2 (the rule's read radius) of the
+//! region border or outside it ([`RegionMap::rim_tile_mask`]). A task's
+//! halo is its neighbors' rim tiles masked to the footprint grown by 2
+//! sites ([`RegionMap::halo_tile_mask`]) — every foreign site the rule can
+//! read and no other — copied into one reusable grid per worker thread.
+//! Grid slots carry the owner's expanded bit (see `local::pack_slot`), so
+//! no query ever looks a neighbor particle up.
 //!
 //! Both produce **byte-identical** results at any worker count — the
 //! differential harness in `crates/system/tests/shard_differential.rs` is
@@ -44,18 +54,17 @@
 //! counts. `region_tiles` *is* semantic (it changes the schedule), which is
 //! why it lives in the snapshot.
 
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use sops_lattice::{RegionId, RegionMap, TileGrid, TriPoint, REGION_COLORS};
+use sops_lattice::{RegionId, RegionMap, TileGrid, TriMap, TriPoint, REGION_COLORS};
 use sops_system::ParticleSystem;
 
 use crate::chain::ChainError;
-use crate::local::{
-    activate_one, pack_slot, unpack_slot, Activation, Particle, ParticleTable, World,
-};
+use crate::local::{activate_one, occupy, Activation, Particle, ParticleTable, World};
 use crate::probes::LocalProbes;
 use crate::snapshot::{self, SnapshotError};
 
@@ -65,7 +74,8 @@ use crate::snapshot::{self, SnapshotError};
 pub const DEFAULT_REGION_TILES: u32 = 2;
 
 /// Sites this close to a region border (or beyond it — overhang heads) are
-/// exported in the region's rim: the local rule reads at distance ≤ 2.
+/// exported in the region's rim, and a halo holds the neighbor sites this
+/// close to the region: the local rule reads at distance ≤ 2.
 const RIM_MARGIN: i32 = 2;
 
 /// The largest `region_tiles` that [`RegionMap::new`] keeps as given.
@@ -93,22 +103,40 @@ pub fn region_stream_seed(seed: u64, region: RegionId, round: u64) -> u64 {
     mix(mix(mix(seed ^ SHARD_SALT) ^ key) ^ round)
 }
 
-/// Rim exports carry one extra bit so readers never need the owner's
-/// particle table: `(id << 2) | (expanded << 1) | is_head`.
-#[inline]
-fn encode_ghost(id: usize, is_head: bool, expanded: bool) -> u32 {
-    debug_assert!(id < (1 << 30), "particle id exceeds 30 bits");
-    (id as u32) << 2 | u32::from(expanded) << 1 | u32::from(is_head)
+/// One tile of a rim export: the rim sites' occupancy word and their
+/// grid slots (see [`TileGrid::for_each_tile`]). Slots carry the owner's
+/// expanded bit, so a halo reader never needs the owner's particles.
+struct RimTile {
+    tx: i32,
+    ty: i32,
+    bits: u64,
+    slots: [u32; 64],
+}
+
+/// A rim export, tile by tile in no particular order.
+type Rim = Vec<RimTile>;
+
+thread_local! {
+    /// This thread's halo grid, cleared and refilled by every task it runs:
+    /// reusing it spares each task a fresh zeroed table.
+    static HALO: RefCell<TileGrid> = RefCell::new(TileGrid::new());
 }
 
 /// One region's owned state in the sharded representation: its particles
-/// (sorted by id), and a private grid holding exactly their sites —
-/// including heads overhanging into neighbor regions (ownership follows
-/// the *tail*).
+/// (sorted by id), a private grid holding exactly their slots — including
+/// heads overhanging into neighbor regions (ownership follows the *tail*)
+/// — and its current rim export.
 struct RegionCell {
     region: RegionId,
     particles: Vec<(usize, Particle)>,
+    /// The crashed particles' ids, sorted. Crashes land between
+    /// `run_rounds*` calls and a crashed particle never moves, so the list
+    /// is fixed while the cell exists.
+    crashed: Vec<usize>,
     grid: TileGrid,
+    /// Every owned site outside the region or within [`RIM_MARGIN`] of its
+    /// border: what the neighbors' halos are cut from.
+    rim: Arc<Rim>,
 }
 
 impl RegionCell {
@@ -116,79 +144,99 @@ impl RegionCell {
         RegionCell {
             region,
             particles: Vec::new(),
+            crashed: Vec::new(),
             grid: TileGrid::new(),
+            rim: Arc::default(),
         }
     }
 
-    fn lookup(&self, id: usize) -> usize {
-        self.particles
-            .binary_search_by_key(&id, |e| e.0)
-            .expect("cell grid slot must belong to a cell particle")
+    /// Particles that still activate.
+    fn live(&self) -> usize {
+        self.particles.len() - self.crashed.len()
     }
 
-    /// The ghost slot (see [`encode_ghost`]) of `p`, if the cell owns it.
-    fn ghost(&self, p: TriPoint) -> Option<u32> {
-        self.grid.get(p).map(|v| {
-            let (id, is_head) = unpack_slot(v);
-            let expanded = self.particles[self.lookup(id)].1.head.is_some();
-            encode_ghost(id, is_head, expanded)
-        })
+    /// Adds particle `id`, which must be new to the cell, keeping
+    /// `particles` sorted.
+    fn admit(&mut self, id: usize, p: Particle) {
+        let at = match self.particles.last() {
+            Some(&(last, _)) if last > id => self
+                .particles
+                .binary_search_by_key(&id, |e| e.0)
+                .expect_err("particle cannot already live in the cell"),
+            _ => self.particles.len(),
+        };
+        self.particles.insert(at, (id, p));
+        occupy(&mut self.grid, id, &p).expect("cells own disjoint sites");
     }
 
-    /// The rim export: every owned site outside the region or within
-    /// [`RIM_MARGIN`] of its border, as ghost slots, in sorted site order.
-    fn rim(&self, map: &RegionMap, scratch: &mut Vec<(u64, u32)>) -> Vec<(TriPoint, u32)> {
-        let mut rim = Vec::new();
-        self.grid.for_each_site_sorted(scratch, |p| {
-            if map.is_rim_site(self.region, p, RIM_MARGIN) {
-                rim.push((p, self.ghost(p).expect("iterated site")));
+    /// Re-exports [`RegionCell::rim`], a word per tile against the region's
+    /// rim masks, reusing the old export's buffer when no halo still holds
+    /// it.
+    fn export_rim(&mut self, map: &RegionMap) {
+        let RegionCell {
+            region, grid, rim, ..
+        } = self;
+        let mut tiles = Arc::get_mut(rim).map(std::mem::take).unwrap_or_default();
+        tiles.clear();
+        grid.for_each_tile(|tx, ty, bits, slots| {
+            let bits = bits & map.rim_tile_mask(*region, tx, ty, RIM_MARGIN);
+            if bits != 0 {
+                tiles.push(RimTile {
+                    tx,
+                    ty,
+                    bits,
+                    slots: *slots,
+                });
             }
         });
-        rim
+        *rim = Arc::new(tiles);
     }
 }
 
 /// Sharded view: the cell's grid backed by a halo of frozen neighbor rims.
 /// Writes go to owned sites only; halo owners are inactive for the whole
-/// color step, so their frozen ghosts read exactly what the flat grid
+/// color step, so their frozen slots read exactly what the flat grid
 /// would.
 struct CellWorld<'a> {
     cell: &'a mut RegionCell,
     halo: &'a TileGrid,
-}
-
-impl CellWorld<'_> {
-    fn ghost(&self, p: TriPoint) -> Option<u32> {
-        self.cell.ghost(p).or_else(|| self.halo.get(p))
-    }
+    map: RegionMap,
+    /// Index in `cell.particles` of the acting particle: the rule reads and
+    /// writes no other particle's state.
+    at: usize,
+    /// Indices of the particles whose tail left the region, ascending.
+    emigrants: Vec<usize>,
 }
 
 impl World for CellWorld<'_> {
+    fn slot(&self, p: TriPoint) -> Option<u32> {
+        self.cell.grid.get(p).or_else(|| self.halo.get(p))
+    }
+
     fn occupied(&self, p: TriPoint) -> bool {
         self.cell.grid.contains(p) || self.halo.contains(p)
     }
 
-    fn expanded_other(&self, p: TriPoint, id: usize) -> bool {
-        self.ghost(p)
-            .is_some_and(|g| (g >> 2) as usize != id && g & 2 != 0)
-    }
-
-    fn tail_of_other(&self, p: TriPoint, id: usize) -> bool {
-        self.ghost(p)
-            .is_some_and(|g| (g >> 2) as usize != id && g & 1 == 0)
-    }
-
     fn get(&self, id: usize) -> Particle {
-        self.cell.particles[self.cell.lookup(id)].1
+        let (owner, particle) = self.cell.particles[self.at];
+        debug_assert_eq!(owner, id, "the rule reads only the acting particle");
+        particle
     }
 
     fn set(&mut self, id: usize, particle: Particle) {
-        let at = self.cell.lookup(id);
-        self.cell.particles[at].1 = particle;
+        let slot = &mut self.cell.particles[self.at];
+        debug_assert_eq!(slot.0, id, "the rule writes only the acting particle");
+        let old = std::mem::replace(&mut slot.1, particle);
+        // A forward contraction can carry the tail across the border (by
+        // one site, so into an adjacent region).
+        if particle.tail != old.tail && self.map.region_of(particle.tail) != self.cell.region {
+            debug_assert!(particle.head.is_none(), "emigrants are contracted");
+            self.emigrants.push(self.at);
+        }
     }
 
-    fn insert(&mut self, p: TriPoint, id: usize, is_head: bool) {
-        self.cell.grid.insert(p, pack_slot(id, is_head));
+    fn write(&mut self, p: TriPoint, slot: u32) {
+        self.cell.grid.insert(p, slot);
     }
 
     fn remove(&mut self, p: TriPoint) {
@@ -198,27 +246,40 @@ impl World for CellWorld<'_> {
 
 /// One region's work for one color step, self-contained and `Send`: the
 /// cell (moved out of the coordinator), the halo (cheap `Arc` clones of the
-/// eight neighbor rims, frozen for the step), the stream seed, and the
-/// crash set restricted to this cell.
+/// neighbor rims, frozen for the step), and the stream seed.
 pub struct ShardTask {
-    cell: RegionCell,
-    halo: Vec<Arc<Vec<(TriPoint, u32)>>>,
+    cell: Box<RegionCell>,
+    halo: Vec<Arc<Rim>>,
     stream: u64,
     lambda_pow: [f64; 11],
-    crashed: Vec<usize>,
     map: RegionMap,
 }
 
 /// What a completed [`ShardTask`] hands back for the deterministic merge.
 pub struct ShardStepOut {
-    cell: RegionCell,
-    rim: Vec<(TriPoint, u32)>,
+    cell: Box<RegionCell>,
     emigrants: Vec<(usize, Particle)>,
     activations: u64,
     probes: LocalProbes,
 }
 
 impl ShardTask {
+    /// Refills `halo` with the neighbor-rim sites within [`RIM_MARGIN`] of
+    /// the cell's footprint — the only foreign sites the rule can read,
+    /// since it reads at distance ≤ 2 of a tail. That includes neighbor
+    /// heads overhanging into the footprint.
+    fn fill_halo(&self, halo: &mut TileGrid) {
+        halo.clear();
+        let region = self.cell.region;
+        for tile in self.halo.iter().flat_map(|rim| rim.iter()) {
+            let (tx, ty) = (tile.tx, tile.ty);
+            let bits = tile.bits & self.map.halo_tile_mask(region, tx, ty, RIM_MARGIN);
+            if bits != 0 {
+                halo.insert_tile(tx, ty, bits, &tile.slots);
+            }
+        }
+    }
+
     /// Runs the region's color step: activate each live particle once in id
     /// order against the cell-plus-halo view, extract emigrants (tails that
     /// crossed the border via forward contraction), and re-export the rim.
@@ -228,54 +289,45 @@ impl ShardTask {
     /// order.
     #[must_use]
     pub fn run(mut self) -> ShardStepOut {
-        let halo_sites: usize = self.halo.iter().map(|rim| rim.len()).sum();
-        let mut halo = TileGrid::with_site_capacity(halo_sites.max(1));
-        for rim in &self.halo {
-            for &(p, g) in rim.iter() {
-                halo.insert(p, g);
-            }
-        }
-        let ids: Vec<usize> = self
-            .cell
-            .particles
-            .iter()
-            .map(|e| e.0)
-            .filter(|id| self.crashed.binary_search(id).is_err())
-            .collect();
-        let mut rng = StdRng::seed_from_u64(self.stream);
         let mut probes = LocalProbes::default();
-        let mut world = CellWorld {
-            cell: &mut self.cell,
-            halo: &halo,
-        };
-        for &id in &ids {
-            probes.record(activate_one(&mut world, id, &self.lambda_pow, &mut rng));
-        }
-        // Extract emigrants: a forward contraction can move a tail across
-        // the border (by at most one site, so always into an adjacent
-        // region). They leave this cell — grid sites included — and the
-        // coordinator routes them at the merge point.
-        let mut emigrants = Vec::new();
-        let region = self.cell.region;
-        let map = self.map;
-        self.cell.particles.retain(|&(id, p)| {
-            if map.region_of(p.tail) == region {
-                return true;
+        let leaving = HALO.with_borrow_mut(|halo| {
+            self.fill_halo(halo);
+            let mut rng = StdRng::seed_from_u64(self.stream);
+            let mut world = CellWorld {
+                cell: &mut self.cell,
+                halo,
+                map: self.map,
+                at: 0,
+                emigrants: Vec::new(),
+            };
+            for at in 0..world.cell.particles.len() {
+                let id = world.cell.particles[at].0;
+                if world.cell.crashed.binary_search(&id).is_ok() {
+                    continue;
+                }
+                world.at = at;
+                probes.record(activate_one(&mut world, id, &self.lambda_pow, &mut rng));
             }
-            debug_assert!(p.head.is_none(), "emigrants are contracted");
-            emigrants.push((id, p));
-            false
+            world.emigrants
         });
-        for &(_, p) in &emigrants {
-            self.cell.grid.remove(p.tail);
+        let ShardTask { mut cell, map, .. } = self;
+        let activations = cell.live() as u64;
+        // Emigrants leave this cell — grid sites included — and the
+        // coordinator routes them at the merge point.
+        let mut emigrants: Vec<(usize, Particle)> = leaving
+            .iter()
+            .rev()
+            .map(|&at| cell.particles.remove(at))
+            .collect();
+        emigrants.reverse();
+        for (_, p) in &emigrants {
+            cell.grid.remove(p.tail);
         }
-        let mut scratch = Vec::new();
-        let rim = self.cell.rim(&map, &mut scratch);
+        cell.export_rim(&map);
         ShardStepOut {
-            cell: self.cell,
-            rim,
+            cell,
             emigrants,
-            activations: ids.len() as u64,
+            activations,
             probes,
         }
     }
@@ -301,13 +353,10 @@ impl StepExecutor for SerialExecutor {
     }
 }
 
-/// The sharded representation while rounds are running: cells keyed by
-/// region, plus the current rim export of every cell (`Arc`-shared so halo
-/// assembly is O(1) per neighbor).
-struct ShardState {
-    cells: BTreeMap<RegionId, RegionCell>,
-    rims: BTreeMap<RegionId, Arc<Vec<(TriPoint, u32)>>>,
-}
+/// The sharded representation while rounds are running: boxed cells keyed
+/// by region, each carrying its own rim export. Hashed for the per-task
+/// neighbor lookups; the schedule sorts the regions it visits.
+type Cells = TriMap<RegionId, Box<RegionCell>>;
 
 /// The checkerboard-scheduled local algorithm (see the module docs).
 ///
@@ -497,123 +546,116 @@ impl ShardedLocalRunner {
         if r == 0 {
             return;
         }
-        let mut state = self.build_cells();
-        let mut scratch: Vec<(u64, u32)> = Vec::new();
+        let mut cells = self.build_cells();
         for _ in 0..r {
-            let round = self.rounds;
             for color in 0..REGION_COLORS {
-                let active: Vec<RegionId> = state
-                    .cells
-                    .iter()
-                    .filter(|(region, cell)| {
-                        RegionMap::color(**region) == color
-                            && cell.particles.iter().any(|&(id, _)| !self.crashed[id])
-                    })
-                    .map(|(region, _)| *region)
-                    .collect();
-                let mut tasks = Vec::with_capacity(active.len());
-                for region in &active {
-                    let cell = state.cells.remove(region).expect("active cell exists");
-                    let halo: Vec<Arc<Vec<(TriPoint, u32)>>> = RegionMap::neighbors8(*region)
-                        .iter()
-                        .filter_map(|nk| state.rims.get(nk).cloned())
-                        .collect();
-                    let crashed: Vec<usize> = cell
-                        .particles
-                        .iter()
-                        .map(|e| e.0)
-                        .filter(|&id| self.crashed[id])
-                        .collect();
-                    tasks.push(ShardTask {
-                        cell,
-                        halo,
-                        stream: region_stream_seed(self.seed, *region, round),
-                        lambda_pow: self.table.lambda_pow,
-                        crashed,
-                        map: self.map,
-                    });
-                }
+                let (active, tasks) = self.color_tasks(&mut cells, color);
                 let outs = executor.run_step(tasks);
-                assert_eq!(outs.len(), active.len(), "executor dropped tasks");
-                // Deterministic merge: outputs in task (= sorted region)
-                // order, then migrants routed, then dirty rims refreshed.
-                let mut dirty: Vec<RegionId> = Vec::new();
-                for (region, out) in active.iter().zip(outs) {
-                    debug_assert_eq!(*region, out.cell.region, "executor reordered outputs");
-                    self.activations += out.activations;
-                    self.moves_completed += out.probes.contracted_forward;
-                    self.probes.expanded += out.probes.expanded;
-                    self.probes.contracted_forward += out.probes.contracted_forward;
-                    self.probes.contracted_back += out.probes.contracted_back;
-                    self.probes.idle += out.probes.idle;
-                    if out.cell.particles.is_empty() {
-                        state.rims.remove(region);
-                    } else {
-                        state.rims.insert(*region, Arc::new(out.rim));
-                        state.cells.insert(*region, out.cell);
-                    }
-                    for (id, p) in out.emigrants {
-                        let dest = self.map.region_of(p.tail);
-                        debug_assert!(RegionMap::are_adjacent(*region, dest));
-                        let cell = state
-                            .cells
-                            .entry(dest)
-                            .or_insert_with(|| RegionCell::new(dest));
-                        let at = cell
-                            .particles
-                            .binary_search_by_key(&id, |e| e.0)
-                            .expect_err("particle cannot already live in dest");
-                        cell.particles.insert(at, (id, p));
-                        cell.grid.insert(p.tail, pack_slot(id, false));
-                        if !dirty.contains(&dest) {
-                            dirty.push(dest);
-                        }
-                    }
-                }
-                for dest in dirty {
-                    let rim = state.cells[&dest].rim(&self.map, &mut scratch);
-                    state.rims.insert(dest, Arc::new(rim));
-                }
+                self.merge(&mut cells, &active, outs);
             }
             self.rounds += 1;
         }
-        self.flatten(state);
+        self.flatten(cells);
+    }
+
+    /// Moves every cell of `color` with a live particle out of `cells` into
+    /// a task, in region order; returns the regions and the tasks.
+    fn color_tasks(&self, cells: &mut Cells, color: u8) -> (Vec<RegionId>, Vec<ShardTask>) {
+        let mut active: Vec<RegionId> = cells
+            .iter()
+            .filter(|(region, cell)| RegionMap::color(**region) == color && cell.live() > 0)
+            .map(|(region, _)| *region)
+            .collect();
+        active.sort_unstable();
+        let tasks = active
+            .iter()
+            .map(|region| {
+                // Neighbors have other colors, so they all stay in `cells`.
+                let halo: Vec<Arc<Rim>> = RegionMap::neighbors8(*region)
+                    .iter()
+                    .filter_map(|nk| cells.get(nk))
+                    .filter(|cell| !cell.rim.is_empty())
+                    .map(|cell| Arc::clone(&cell.rim))
+                    .collect();
+                ShardTask {
+                    cell: cells.remove(region).expect("active cell exists"),
+                    halo,
+                    stream: region_stream_seed(self.seed, *region, self.rounds),
+                    lambda_pow: self.table.lambda_pow,
+                    map: self.map,
+                }
+            })
+            .collect();
+        (active, tasks)
+    }
+
+    /// The deterministic merge of one color step: outputs in task (=
+    /// sorted region) order, then migrants routed, then the rims of the
+    /// cells they joined refreshed.
+    fn merge(&mut self, cells: &mut Cells, active: &[RegionId], outs: Vec<ShardStepOut>) {
+        assert_eq!(outs.len(), active.len(), "executor dropped tasks");
+        let mut dirty: Vec<RegionId> = Vec::new();
+        for (region, out) in active.iter().zip(outs) {
+            debug_assert_eq!(*region, out.cell.region, "executor reordered outputs");
+            self.activations += out.activations;
+            self.moves_completed += out.probes.contracted_forward;
+            self.probes.expanded += out.probes.expanded;
+            self.probes.contracted_forward += out.probes.contracted_forward;
+            self.probes.contracted_back += out.probes.contracted_back;
+            self.probes.idle += out.probes.idle;
+            if !out.cell.particles.is_empty() {
+                cells.insert(*region, out.cell);
+            }
+            for (id, p) in out.emigrants {
+                let dest = self.map.region_of(p.tail);
+                debug_assert!(RegionMap::are_adjacent(*region, dest));
+                cells
+                    .entry(dest)
+                    .or_insert_with(|| Box::new(RegionCell::new(dest)))
+                    .admit(id, p);
+                if !dirty.contains(&dest) {
+                    dirty.push(dest);
+                }
+            }
+        }
+        for dest in dirty {
+            cells
+                .get_mut(&dest)
+                .expect("emigrants joined this cell")
+                .export_rim(&self.map);
+        }
     }
 
     /// Builds the sharded representation from the flat state.
-    fn build_cells(&self) -> ShardState {
-        let mut cells: BTreeMap<RegionId, RegionCell> = BTreeMap::new();
+    fn build_cells(&self) -> Cells {
+        let mut cells = Cells::default();
         for (id, p) in self.table.particles.iter().enumerate() {
             let region = self.map.region_of(p.tail);
             let cell = cells
                 .entry(region)
-                .or_insert_with(|| RegionCell::new(region));
-            cell.particles.push((id, *p)); // ascending id by construction
-            cell.grid.insert(p.tail, pack_slot(id, false));
-            if let Some(h) = p.head {
-                cell.grid.insert(h, pack_slot(id, true));
+                .or_insert_with(|| Box::new(RegionCell::new(region)));
+            cell.admit(id, *p); // ascending ids: appended
+            if self.crashed[id] {
+                cell.crashed.push(id);
             }
         }
-        let mut scratch = Vec::new();
-        let rims = cells
-            .iter()
-            .map(|(region, cell)| (*region, Arc::new(cell.rim(&self.map, &mut scratch))))
-            .collect();
-        ShardState { cells, rims }
+        for cell in cells.values_mut() {
+            cell.export_rim(&self.map);
+        }
+        cells
     }
 
-    /// Writes the sharded representation back into the flat state.
-    fn flatten(&mut self, state: ShardState) {
+    /// Writes the sharded representation back into the flat state. Cell
+    /// grids hold flat-grid slots, so they copy over a word at a time.
+    fn flatten(&mut self, cells: Cells) {
         let table = &mut self.table;
         table.occ.clear();
-        for cell in state.cells.into_values() {
+        for cell in cells.into_values() {
             for (id, p) in cell.particles {
                 table.particles[id] = p;
-                table.occ.insert(p.tail, pack_slot(id, false));
-                if let Some(h) = p.head {
-                    table.occ.insert(h, pack_slot(id, true));
-                }
             }
+            cell.grid
+                .for_each_tile(|tx, ty, bits, slots| table.occ.insert_tile(tx, ty, bits, slots));
         }
     }
 
@@ -840,6 +882,97 @@ mod tests {
             assert_eq!(r.snapshot(), with_tiles(t), "region_tiles={t} round-trips");
             r.run_rounds_with(3, &SerialExecutor);
             r.assert_invariants();
+        }
+    }
+
+    /// The halo oracle: before every color step, each task's
+    /// cell-plus-halo view answers every query the rule can make — at every
+    /// site within distance 2 of a live particle's tail, which covers its
+    /// head and the head's neighbors — exactly like the flat table the
+    /// cells describe. The run then continues through the real merge, so
+    /// the checked states are the ones `run_rounds_with` visits.
+    #[test]
+    fn halos_answer_every_read_like_the_flat_table() {
+        use crate::local::FlatWorld;
+        use rand::rngs::StdRng;
+        let mut rng = StdRng::seed_from_u64(15);
+        let start = ParticleSystem::connected(shapes::random_connected(400, &mut rng)).unwrap();
+        for tiles in [1, 2] {
+            let mut runner = ShardedLocalRunner::with_region_tiles(&start, 4.0, 3, tiles).unwrap();
+            let mut reference = runner.clone();
+            for id in [7, 100, 250] {
+                runner.crash(id);
+                reference.crash(id);
+            }
+            let mut cells = runner.build_cells();
+            let (mut checked, mut foreign) = (0u64, 0u64);
+            for _ in 0..25 {
+                for color in 0..REGION_COLORS {
+                    let mut particles = runner.table.particles.clone();
+                    let mut occ = TileGrid::new();
+                    for cell in cells.values() {
+                        for &(id, p) in &cell.particles {
+                            particles[id] = p;
+                            occupy(&mut occ, id, &p).unwrap();
+                        }
+                    }
+                    let flat = FlatWorld {
+                        particles: &mut particles,
+                        occ: &mut occ,
+                    };
+                    let (active, mut tasks) = runner.color_tasks(&mut cells, color);
+                    let mut halo = TileGrid::new();
+                    for task in &mut tasks {
+                        task.fill_halo(&mut halo);
+                        let live: Vec<(usize, Particle)> = task
+                            .cell
+                            .particles
+                            .iter()
+                            .filter(|(id, _)| task.cell.crashed.binary_search(id).is_err())
+                            .copied()
+                            .collect();
+                        let world = CellWorld {
+                            cell: &mut task.cell,
+                            halo: &halo,
+                            map: runner.map,
+                            at: 0,
+                            emigrants: Vec::new(),
+                        };
+                        for (id, p) in live {
+                            for dx in -2..=2 {
+                                for dy in -2..=2 {
+                                    let q = TriPoint::new(p.tail.x + dx, p.tail.y + dy);
+                                    if p.tail.distance(q) > 2 {
+                                        continue;
+                                    }
+                                    let at = format!("{q} read by {id} (tiles={tiles})");
+                                    assert_eq!(world.occupied(q), flat.occupied(q), "{at}");
+                                    assert_eq!(
+                                        world.expanded_other(q, id),
+                                        flat.expanded_other(q, id),
+                                        "{at}"
+                                    );
+                                    assert_eq!(
+                                        world.tail_of_other(q, id),
+                                        flat.tail_of_other(q, id),
+                                        "{at}"
+                                    );
+                                    checked += 1;
+                                    foreign += u64::from(halo.contains(q));
+                                }
+                            }
+                        }
+                    }
+                    let outs = SerialExecutor.run_step(tasks);
+                    runner.merge(&mut cells, &active, outs);
+                }
+                runner.rounds += 1;
+            }
+            runner.flatten(cells);
+            reference.run_rounds(25);
+            assert_eq!(runner.snapshot(), reference.snapshot(), "tiles={tiles}");
+            // The halo really was read, not just the cell's own grid.
+            assert!(foreign > checked / 50, "{foreign} of {checked} reads");
         }
     }
 

@@ -161,17 +161,26 @@ impl Default for TileGrid {
 }
 
 impl TileGrid {
-    /// Creates an empty grid with minimal capacity.
+    /// Creates an empty grid with minimal capacity. It grows as tiles are
+    /// claimed: crossing 1/2 load rehashes to ≤ 1/4 load of the live tiles,
+    /// so a grid filled from here ends sized to what it holds.
     #[must_use]
     pub fn new() -> TileGrid {
         TileGrid::with_tile_capacity(16)
     }
 
-    /// Creates an empty grid sized for roughly `sites` occupied sites.
+    /// Creates an empty grid whose table holds `sites / 2` tiles (at least
+    /// 16, rounded up to a power of two).
+    ///
+    /// The rule is sized for a straight line: `sites` sites in a row touch
+    /// `sites / 8` tiles, so the table starts at 1/4 load and the line can
+    /// spread into one more tile row beside it before the 1/2 load ceiling
+    /// forces a rehash. A compact configuration of `sites` sites occupies
+    /// only about `sites / 64` tiles, tens of times fewer than this table
+    /// holds, so compact starts should grow from [`TileGrid::new`] instead.
+    /// Capacity never changes a query's answer, only memory and speed.
     #[must_use]
     pub fn with_site_capacity(sites: usize) -> TileGrid {
-        // A line of n sites touches n/8 tiles and drifts into the two tile
-        // rows beside it; size for that worst common case up front.
         TileGrid::with_tile_capacity((sites / 2).max(16))
     }
 
@@ -325,27 +334,7 @@ impl TileGrid {
     /// `p` was already occupied (leaving the new payload in place).
     pub fn insert(&mut self, p: TriPoint, value: u32) -> Option<u32> {
         let (tx, ty) = tile_of(p);
-        let key = key_of(tx, ty);
-        let slot = match self.probe(key) {
-            Ok(slot) => slot,
-            Err(mut vacant) => {
-                // Claim a fresh slot, growing first when the table would
-                // exceed 1/2 load. The low ceiling keeps *miss* probes short
-                // — window gathers beside a configuration constantly probe
-                // the absent tiles flanking it, and at high load a miss
-                // walks the whole collision run before finding an empty key.
-                if (self.used + 1) * 2 > self.mask + 1 {
-                    self.rehash();
-                    vacant = self
-                        .probe(key)
-                        .expect_err("tile cannot appear during rehash");
-                }
-                self.tiles[vacant].key = key;
-                self.tiles[vacant].bits = 0;
-                self.used += 1;
-                vacant
-            }
-        };
+        let slot = self.claim(key_of(tx, ty));
         let bit = bit_of(p);
         let prev = if self.tiles[slot].bits >> bit & 1 != 0 {
             Some(self.payload[slot * 64 + bit as usize])
@@ -359,6 +348,49 @@ impl TileGrid {
         // stale negative entry from before the tile existed).
         self.refresh_cache(tx, ty, slot);
         prev
+    }
+
+    /// Occupies every site of tile `(tx, ty)` whose bit is set in `bits`,
+    /// site `bit` taking payload `payload[bit]` (bit layout as in the
+    /// module docs): [`TileGrid::insert`] for a whole word at once.
+    /// Already-occupied sites take the new payload.
+    pub fn insert_tile(&mut self, tx: i32, ty: i32, bits: u64, payload: &[u32; 64]) {
+        let slot = self.claim(key_of(tx, ty));
+        self.len += (bits & !self.tiles[slot].bits).count_ones() as usize;
+        self.tiles[slot].bits |= bits;
+        let mut rest = bits;
+        while rest != 0 {
+            let bit = rest.trailing_zeros() as usize;
+            rest &= rest - 1;
+            self.payload[slot * 64 + bit] = payload[bit];
+        }
+        self.refresh_cache(tx, ty, slot);
+    }
+
+    /// The table slot of tile `key`, claiming a fresh one when the tile is
+    /// absent.
+    #[inline]
+    fn claim(&mut self, key: u64) -> usize {
+        match self.probe(key) {
+            Ok(slot) => slot,
+            Err(mut vacant) => {
+                // Grow first when the table would exceed 1/2 load. The low
+                // ceiling keeps *miss* probes short — window gathers beside
+                // a configuration constantly probe the absent tiles flanking
+                // it, and at high load a miss walks the whole collision run
+                // before finding an empty key.
+                if (self.used + 1) * 2 > self.mask + 1 {
+                    self.rehash();
+                    vacant = self
+                        .probe(key)
+                        .expect_err("tile cannot appear during rehash");
+                }
+                self.tiles[vacant].key = key;
+                self.tiles[vacant].bits = 0;
+                self.used += 1;
+                vacant
+            }
+        }
     }
 
     /// Vacates `p`, returning its payload if it was occupied. The tile is
@@ -570,6 +602,27 @@ impl TileGrid {
                 }
             }
             run_start = run_end;
+        }
+    }
+
+    /// Calls `f(tx, ty, bits, payload)` for every tile holding an occupied
+    /// site: `bits` is the occupancy word of tile `(tx, ty)` and
+    /// `payload[bit]` the payload of each site whose bit is set (the other
+    /// slots mean nothing). Tiles come in table order, which is
+    /// unspecified: use [`TileGrid::for_each_site_sorted`] when the order
+    /// matters. Together with [`TileGrid::insert_tile`] this moves sites
+    /// between grids a word at a time.
+    pub fn for_each_tile(&self, mut f: impl FnMut(i32, i32, u64, &[u32; 64])) {
+        for (tile, payload) in self.tiles.iter().zip(self.payload.chunks_exact(64)) {
+            if tile.key != EMPTY_KEY && tile.bits != 0 {
+                let payload = payload.try_into().expect("chunks hold 64 slots");
+                f(
+                    (tile.key >> 32) as i32,
+                    tile.key as u32 as i32,
+                    tile.bits,
+                    payload,
+                );
+            }
         }
     }
 
@@ -931,6 +984,56 @@ mod tests {
         let mut scratch = Vec::new();
         grid.for_each_site_sorted(&mut scratch, |p| seen.push(p));
         assert_eq!(seen, expected);
+    }
+
+    /// The sites of every visited tile, as sorted `(site, payload)` pairs.
+    fn tile_sites(grid: &TileGrid) -> Vec<(TriPoint, u32)> {
+        let mut sites = Vec::new();
+        grid.for_each_tile(|tx, ty, bits, payload| {
+            for bit in 0..64 {
+                if bits >> bit & 1 != 0 {
+                    let p = TriPoint::new(tx * 8 + (bit & 7), ty * 8 + (bit >> 3));
+                    sites.push((p, payload[bit as usize]));
+                }
+            }
+        });
+        sites.sort_unstable();
+        sites
+    }
+
+    #[test]
+    fn tile_visit_and_tile_insert_move_sites_word_by_word() {
+        let mut grid = TileGrid::new();
+        let mut state = 5u64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            state >> 33
+        };
+        for i in 0..400u32 {
+            let p = TriPoint::new((next() % 50) as i32 - 25, (next() % 50) as i32 - 25);
+            grid.insert(p, i);
+        }
+        let mut expected = Vec::new();
+        let mut scratch = Vec::new();
+        grid.for_each_site_sorted(&mut scratch, |p| expected.push((p, grid.get(p).unwrap())));
+        assert_eq!(tile_sites(&grid), expected);
+        // Copying every tile (some into already-occupied sites) rebuilds
+        // the same grid.
+        let mut copy = TileGrid::new();
+        copy.insert(expected[0].0, u32::MAX);
+        grid.for_each_tile(|tx, ty, bits, payload| copy.insert_tile(tx, ty, bits, payload));
+        copy.assert_valid();
+        assert_eq!(copy.len(), grid.len());
+        assert_eq!(tile_sites(&copy), expected);
+        // A partial word adds exactly its sites.
+        let mut partial = TileGrid::new();
+        partial.insert_tile(-1, 2, 0b1010, &[7; 64]);
+        partial.assert_valid();
+        assert_eq!(partial.len(), 2);
+        assert_eq!(partial.get(TriPoint::new(-7, 16)), Some(7));
+        assert_eq!(partial.get(TriPoint::new(-8, 16)), None);
     }
 
     #[test]

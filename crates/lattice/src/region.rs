@@ -126,6 +126,51 @@ impl RegionMap {
         }
         lx < margin || ly < margin || lx >= side - margin || ly >= side - margin
     }
+
+    /// [`RegionMap::is_rim_site`] for all 64 sites of tile `(tx, ty)` at
+    /// once, as a mask in [`TileGrid`](crate::TileGrid)'s tile layout (bit
+    /// `((y & 7) << 3) | (x & 7)`): a site is a rim site iff its column or
+    /// its row lies in the band, so the mask is the union of a column mask
+    /// and a row mask.
+    #[must_use]
+    pub fn rim_tile_mask(&self, region: RegionId, tx: i32, ty: i32, margin: i32) -> u64 {
+        let o = self.origin(region);
+        let side = self.side();
+        // Offsets below 0 or at/after `side` lie outside the footprint.
+        let in_band = |l: i32| l < margin || l >= side - margin;
+        let mut mask = 0u64;
+        for k in 0..8 {
+            if in_band(tx * 8 + k - o.x) {
+                mask |= 0x0101_0101_0101_0101 << k;
+            }
+            if in_band(ty * 8 + k - o.y) {
+                mask |= 0xFF << (8 * k);
+            }
+        }
+        mask
+    }
+
+    /// The sites of tile `(tx, ty)` that lie in `region`'s footprint grown
+    /// by `margin` sites on every side, as a mask in
+    /// [`TileGrid`](crate::TileGrid)'s tile layout. At margin 2, the local
+    /// algorithm's read radius, these are all the sites an activation of a
+    /// particle with its tail in `region` can read.
+    #[must_use]
+    pub fn halo_tile_mask(&self, region: RegionId, tx: i32, ty: i32, margin: i32) -> u64 {
+        let o = self.origin(region);
+        let span = (self.side() + 2 * margin) as u32;
+        let in_span = |l: i32| ((l + margin) as u32) < span;
+        let (mut cols, mut rows) = (0u64, 0u64);
+        for k in 0..8 {
+            if in_span(tx * 8 + k - o.x) {
+                cols |= 0x0101_0101_0101_0101 << k;
+            }
+            if in_span(ty * 8 + k - o.y) {
+                rows |= 0xFF << (8 * k);
+            }
+        }
+        cols & rows
+    }
 }
 
 #[cfg(test)]
@@ -176,5 +221,21 @@ mod tests {
         assert!(!map.is_rim_site(r, TriPoint::new(4, 4), 2)); // interior
         assert!(map.is_rim_site(r, TriPoint::new(8, 4), 2)); // overhang
         assert!(map.is_rim_site(r, TriPoint::new(-1, -1), 2)); // overhang
+    }
+
+    #[test]
+    fn tile_masks_of_a_one_tile_region() {
+        let map = RegionMap::new(1);
+        let r = (0, 0);
+        // Rim: all but the 4×4 core of the region's tile; overhang tiles
+        // are rim throughout.
+        assert_eq!(map.rim_tile_mask(r, 0, 0, 2), !0x0000_3C3C_3C3C_0000);
+        assert_eq!(map.rim_tile_mask(r, 1, 0, 2), u64::MAX);
+        // Halo band (the footprint grown by 2): the tile itself, the two
+        // nearest columns or rows of its neighbors, nothing farther out.
+        assert_eq!(map.halo_tile_mask(r, 0, 0, 2), u64::MAX);
+        assert_eq!(map.halo_tile_mask(r, 1, 0, 2), 0x0303_0303_0303_0303);
+        assert_eq!(map.halo_tile_mask(r, 2, 0, 2), 0);
+        assert_eq!(map.halo_tile_mask(r, -1, -1, 2), 0xC0C0_0000_0000_0000);
     }
 }

@@ -1,7 +1,7 @@
 //! Property-based tests for the lattice algebra.
 
 use proptest::prelude::*;
-use sops_lattice::{BoundingBox, Direction, PairRing, TriPoint};
+use sops_lattice::{BoundingBox, Direction, PairRing, TileGrid, TriPoint};
 
 fn arb_point() -> impl Strategy<Value = TriPoint> {
     (-1000i32..1000, -1000i32..1000).prop_map(|(x, y)| TriPoint::new(x, y))
@@ -87,5 +87,73 @@ proptest! {
         let q = p + d;
         prop_assert_eq!(p.direction_to(q), Some(d));
         prop_assert_eq!(q.direction_to(p), Some(d.opposite()));
+    }
+}
+
+proptest! {
+    // Each case queries every site of an 86×86 box: fewer, heavier cases.
+    #![proptest_config(ProptestConfig::with_cases(40))]
+
+    /// Table capacity is an allocation detail: one sequence of site
+    /// inserts, whole-tile inserts and removes on a minimal grid (which
+    /// rehashes as it grows) and on a grid preallocated for a long line
+    /// leaves two grids that answer every query identically.
+    #[test]
+    fn tile_grid_capacity_is_never_observable(
+        ops in proptest::collection::vec((-40i32..40, -40i32..40, 0u8..6), 1..400),
+        big in 1_000usize..40_000,
+    ) {
+        let mut small = TileGrid::new();
+        let mut large = TileGrid::with_site_capacity(big);
+        for (i, &(x, y, op)) in ops.iter().enumerate() {
+            let p = TriPoint::new(x, y);
+            if op == 0 {
+                prop_assert_eq!(small.remove(p), large.remove(p));
+            } else if op == 1 {
+                // A word of pseudo-random sites in p's tile.
+                let bits = (i as u64 + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+                let payload = [i as u32; 64];
+                small.insert_tile(x >> 3, y >> 3, bits, &payload);
+                large.insert_tile(x >> 3, y >> 3, bits, &payload);
+            } else {
+                prop_assert_eq!(small.insert(p, i as u32), large.insert(p, i as u32));
+            }
+        }
+        small.assert_valid();
+        large.assert_valid();
+        prop_assert_eq!(small.len(), large.len());
+        for x in -43..43 {
+            for y in -43..43 {
+                let p = TriPoint::new(x, y);
+                prop_assert_eq!(small.get(p), large.get(p));
+                prop_assert_eq!(small.contains(p), large.contains(p));
+                prop_assert_eq!(small.window25(x, y), large.window25(x, y));
+                prop_assert_eq!(small.neighbor_count(p), large.neighbor_count(p));
+                for d in Direction::ALL {
+                    prop_assert_eq!(small.pair_ring_mask(p, d), large.pair_ring_mask(p, d));
+                }
+            }
+        }
+        let (mut sorted_small, mut sorted_large) = (Vec::new(), Vec::new());
+        let mut scratch = Vec::new();
+        small.for_each_site_sorted(&mut scratch, |p| sorted_small.push(p));
+        large.for_each_site_sorted(&mut scratch, |p| sorted_large.push(p));
+        prop_assert_eq!(&sorted_small, &sorted_large);
+        // The unsorted tile walk yields the same (site, payload) set.
+        let sorted: Vec<(TriPoint, u32)> = sorted_small
+            .iter()
+            .map(|&p| (p, small.get(p).expect("walked site is occupied")))
+            .collect();
+        for grid in [&small, &large] {
+            let mut walked = Vec::new();
+            grid.for_each_tile(|tx, ty, bits, payload| {
+                for bit in (0..64).filter(|b| bits >> b & 1 != 0) {
+                    let p = TriPoint::new(tx * 8 + (bit & 7), ty * 8 + (bit >> 3));
+                    walked.push((p, payload[bit as usize]));
+                }
+            });
+            walked.sort_unstable();
+            prop_assert_eq!(&walked, &sorted);
+        }
     }
 }

@@ -121,4 +121,72 @@ proptest! {
             prop_assert!(map.is_rim_site(map.region_of(p), q, 2));
         }
     }
+
+    /// The word-level rim mask of a tile agrees with the per-site rim test
+    /// on every one of its 64 sites, inside the region, on its border, and
+    /// in the overhang tiles around it.
+    #[test]
+    fn rim_tile_mask_matches_is_rim_site(
+        rx in -1_000i32..1_000,
+        ry in -1_000i32..1_000,
+        dtx in -1i32..9,
+        dty in -1i32..9,
+        tiles in 1u32..8,
+        margin in 1i32..4,
+    ) {
+        let map = RegionMap::new(tiles);
+        let region = (rx, ry);
+        let t = tiles as i32;
+        let (tx, ty) = (rx * t + dtx.min(t), ry * t + dty.min(t));
+        let mask = map.rim_tile_mask(region, tx, ty, margin);
+        for bit in 0..64 {
+            let p = TriPoint::new(tx * 8 + (bit & 7), ty * 8 + (bit >> 3));
+            prop_assert_eq!(mask >> bit & 1 != 0, map.is_rim_site(region, p, margin), "{}", p);
+        }
+    }
+
+    /// The halo mask is exactly the footprint grown by the margin: a site
+    /// has its bit set iff it is at most `margin` sites beyond the
+    /// footprint's extent on each axis.
+    #[test]
+    fn halo_tile_mask_is_the_footprint_grown_by_the_margin(
+        rx in -1_000i32..1_000,
+        ry in -1_000i32..1_000,
+        dtx in -2i32..10,
+        dty in -2i32..10,
+        tiles in 1u32..8,
+        margin in 1i32..4,
+    ) {
+        let map = RegionMap::new(tiles);
+        let region = (rx, ry);
+        let t = tiles as i32;
+        let (tx, ty) = (rx * t + dtx.min(t + 1), ry * t + dty.min(t + 1));
+        let mask = map.halo_tile_mask(region, tx, ty, margin);
+        let o = map.origin(region);
+        let side = map.side();
+        for bit in 0..64 {
+            let p = TriPoint::new(tx * 8 + (bit & 7), ty * 8 + (bit >> 3));
+            // Per-axis distance from the footprint's extent.
+            let gap = |v: i32, lo: i32| (lo - v).max(v - (lo + side - 1)).max(0);
+            let near = gap(p.x, o.x) <= margin && gap(p.y, o.y) <= margin;
+            prop_assert_eq!(mask >> bit & 1 != 0, near, "{}", p);
+        }
+    }
+
+    /// Soundness of the halo at margin 2: every site within interaction
+    /// distance of a site in the region is in the region's halo mask.
+    #[test]
+    fn reads_from_inside_a_region_stay_in_its_halo(
+        x in -10_000i32..10_000,
+        y in -10_000i32..10_000,
+        dx in -2i32..=2,
+        dy in -2i32..=2,
+        tiles in 1u32..5,
+    ) {
+        let map = RegionMap::new(tiles);
+        let p = TriPoint::new(x, y);
+        let q = TriPoint::new(x + dx, y + dy);
+        let mask = map.halo_tile_mask(map.region_of(p), q.x >> 3, q.y >> 3, 2);
+        prop_assert!(mask >> (((q.y & 7) << 3) | (q.x & 7)) & 1 != 0, "{} from {}", q, p);
+    }
 }

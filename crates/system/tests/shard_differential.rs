@@ -168,6 +168,37 @@ fn snapshots_restore_across_worker_counts() {
     }
 }
 
+/// Many regions at once: a 3000-particle random blob spans dozens of
+/// regions at either size, so every kind of region border — the ±2 halo
+/// band, corners where three neighbors meet, heads overhanging into a
+/// diagonal neighbor — is crossed thousands of times. The flat reference,
+/// the serial executor and a 2-worker pool agree on snapshot bytes and
+/// probes.
+#[test]
+fn many_region_runs_are_byte_identical() {
+    let mut rng = StdRng::seed_from_u64(3000);
+    let start = ParticleSystem::connected(shapes::random_connected(3000, &mut rng)).unwrap();
+    for region_tiles in [1u32, 2] {
+        for lambda in [2.5, 4.0] {
+            let label = format!("region_tiles={region_tiles} λ={lambda}");
+            let fresh =
+                || ShardedLocalRunner::with_region_tiles(&start, lambda, 11, region_tiles).unwrap();
+            let mut reference = fresh();
+            reference.run_rounds(40);
+            let mut serial = fresh();
+            serial.run_rounds_with(40, &SerialExecutor);
+            let mut pooled = fresh();
+            pooled.run_rounds_with(40, &PoolExecutor::new(2));
+            for (path, runner) in [("serial", &serial), ("pool(2)", &pooled)] {
+                runner.assert_invariants();
+                assert_eq!(runner.snapshot(), reference.snapshot(), "{path} ({label})");
+                assert_eq!(runner.probes(), reference.probes(), "{path} ({label})");
+            }
+            assert!(reference.moves_completed() > 0, "{label}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

@@ -21,6 +21,8 @@ use sops::prelude::*;
 const CHUNK: u64 = 50_000;
 const LAMBDA: f64 = 6.0;
 const BURN_IN: u64 = 50_000;
+/// Size timed for `chain-kmc` alone.
+const KMC_ONLY_N: usize = 10_000;
 
 /// A compressed start: the hexagonal spiral is maximally dense, so
 /// after a short burn-in the system sits at the α-compressed equilibrium
@@ -44,10 +46,17 @@ fn bench_equilibrium(c: &mut Criterion) {
             b.iter(|| kmc.run(CHUNK));
         });
     }
+    // The `kmc-equilibrium` workload's size, KMC only: the naive chain
+    // would spend nearly every step rejecting.
+    group.bench_with_input(BenchmarkId::new("kmc", KMC_ONLY_N), &KMC_ONLY_N, |b, &n| {
+        let mut kmc = KmcChain::from_seed(compressed_start(n), LAMBDA, 7).unwrap();
+        kmc.run(BURN_IN);
+        b.iter(|| kmc.run(CHUNK));
+    });
     group.finish();
 
     // Acceptance-rate probes: accepted-moves/sec = rate · CHUNK / t_iter.
-    for n in [100usize, 400, 1600] {
+    for n in [100usize, 400, 1600, KMC_ONLY_N] {
         let mut probe = KmcChain::from_seed(compressed_start(n), LAMBDA, 7).unwrap();
         probe.run(BURN_IN);
         let before = probe.counts().moved;

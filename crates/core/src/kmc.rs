@@ -102,6 +102,13 @@ pub struct KmcCounts {
     pub max_jump: u64,
 }
 
+/// Bitset words per block: the finer of [`MassTable`]'s two summary levels.
+const BLOCK_WORDS: usize = 16;
+
+/// Blocks per superblock: the coarser summary level. A class bitset at
+/// n = 10⁴ has 59 blocks in 4 superblocks; at n = 10⁶, 5860 blocks in 367.
+const SUPER_BLOCKS: usize = 16;
+
 /// The acceptance-mass table: every structurally valid pair `(P, d)`
 /// bucketed by its energy delta, supporting O(1) reclassification and
 /// weighted sampling by class draw + rank/select.
@@ -112,10 +119,16 @@ pub struct KmcCounts {
 /// canonical form is what lets [`KmcChain::snapshot`] omit the table
 /// entirely and still promise a bitwise-identical continuation after
 /// [`KmcChain::restore`]: the rebuilt table samples the same pair for the
-/// same RNG draws. Reclassifying a pair is two bit flips and two counter
-/// bumps; selecting the `j`-th member of a class is a popcount scan of that
-/// class's words (`6n/64` words — ~25 for the n = 1600 bench; a summary
-/// level can be added if systems grow to where this scan shows up).
+/// same RNG draws.
+///
+/// Each class bitset (`6n/64` words — 150 at n = 1600, 938 at n = 10⁴)
+/// carries two summary levels: a member count per block of [`BLOCK_WORDS`]
+/// words and one per superblock of [`SUPER_BLOCKS`] blocks. Reclassifying
+/// a pair flips two bits and bumps the class, block and superblock counts
+/// on each side; selecting the `j`-th member of a class walks the
+/// superblock counts, then at most [`SUPER_BLOCKS`] block counts, then
+/// popcount-scans at most [`BLOCK_WORDS`] words. The counts are a pure
+/// function of the bitsets, so the canonical form is unchanged.
 ///
 /// The class count is the span of the [`Hamiltonian`]'s delta range (11
 /// for the default edge count; at most 255, since class indices live in a
@@ -129,6 +142,18 @@ struct MassTable {
     /// Concatenated class bitsets: class `c` owns words
     /// `[c·stride, (c+1)·stride)`; bit `k` of a bitset = pair `k`.
     bits: Vec<u64>,
+    /// Blocks per class bitset: `stride / BLOCK_WORDS`, rounded up.
+    blocks: usize,
+    /// Concatenated per-block member counts: class `c` owns
+    /// `[c·blocks, (c+1)·blocks)`; entry `b` counts the set bits of words
+    /// `[b·BLOCK_WORDS, (b+1)·BLOCK_WORDS)` of its bitset.
+    block_count: Vec<u32>,
+    /// Superblocks per class: `blocks / SUPER_BLOCKS`, rounded up.
+    supers: usize,
+    /// Concatenated per-superblock member counts, laid out like
+    /// `block_count`: entry `s` sums blocks
+    /// `[s·SUPER_BLOCKS, (s+1)·SUPER_BLOCKS)`.
+    super_count: Vec<u32>,
     /// Member count per class.
     count: Vec<u32>,
 }
@@ -136,10 +161,16 @@ struct MassTable {
 impl MassTable {
     fn new(pairs: usize, classes: usize) -> MassTable {
         let stride = pairs.div_ceil(64);
+        let blocks = stride.div_ceil(BLOCK_WORDS);
+        let supers = blocks.div_ceil(SUPER_BLOCKS);
         MassTable {
             class: vec![CLASS_NONE; pairs],
             stride,
             bits: vec![0; stride * classes],
+            blocks,
+            block_count: vec![0; blocks * classes],
+            supers,
+            super_count: vec![0; supers * classes],
             count: vec![0; classes],
         }
     }
@@ -151,13 +182,21 @@ impl MassTable {
             return;
         }
         let (word, bit) = (k / 64, 1u64 << (k % 64));
+        let block = word / BLOCK_WORDS;
+        let sup = block / SUPER_BLOCKS;
         if old != CLASS_NONE {
-            self.bits[old as usize * self.stride + word] &= !bit;
-            self.count[old as usize] -= 1;
+            let old = old as usize;
+            self.bits[old * self.stride + word] &= !bit;
+            self.block_count[old * self.blocks + block] -= 1;
+            self.super_count[old * self.supers + sup] -= 1;
+            self.count[old] -= 1;
         }
         if class != CLASS_NONE {
-            self.bits[class as usize * self.stride + word] |= bit;
-            self.count[class as usize] += 1;
+            let class = class as usize;
+            self.bits[class * self.stride + word] |= bit;
+            self.block_count[class * self.blocks + block] += 1;
+            self.super_count[class * self.supers + sup] += 1;
+            self.count[class] += 1;
         }
         self.class[k] = class;
     }
@@ -180,8 +219,14 @@ impl MassTable {
     /// The `j`-th member (0-based, ascending pair index) of `class`.
     fn select(&self, class: usize, j: u32) -> u32 {
         let mut remaining = j;
-        let base = class * self.stride;
-        for (wi, &word) in self.bits[base..base + self.stride].iter().enumerate() {
+        let supers = &self.super_count[class * self.supers..(class + 1) * self.supers];
+        let first_block = locate(supers, &mut remaining) * SUPER_BLOCKS;
+        let blocks = &self.block_count[class * self.blocks..(class + 1) * self.blocks];
+        let blocks = &blocks[first_block..self.blocks.min(first_block + SUPER_BLOCKS)];
+        let first = (first_block + locate(blocks, &mut remaining)) * BLOCK_WORDS;
+        let words = &self.bits[class * self.stride..(class + 1) * self.stride];
+        let words = &words[first..self.stride.min(first + BLOCK_WORDS)];
+        for (wi, &word) in words.iter().enumerate() {
             let ones = word.count_ones();
             if remaining < ones {
                 // Clear the lowest `remaining` set bits, then read the next.
@@ -189,11 +234,11 @@ impl MassTable {
                 for _ in 0..remaining {
                     w &= w - 1;
                 }
-                return (wi * 64) as u32 + w.trailing_zeros();
+                return ((first + wi) * 64) as u32 + w.trailing_zeros();
             }
             remaining -= ones;
         }
-        unreachable!("selection index exceeds class cardinality")
+        unreachable!("block count disagrees with its words")
     }
 
     /// Draws a pair with probability proportional to its mass.
@@ -220,12 +265,12 @@ impl MassTable {
         self.select(last_nonempty, rng.gen_range(0..n))
     }
 
-    /// Checks class/bitset agreement.
+    /// Checks class/bitset/summary-count agreement.
     fn assert_valid(&self) {
         for c in 0..self.count.len() {
-            let base = c * self.stride;
+            let words = &self.bits[c * self.stride..(c + 1) * self.stride];
             let mut members = 0u32;
-            for (wi, &word) in self.bits[base..base + self.stride].iter().enumerate() {
+            for (wi, &word) in words.iter().enumerate() {
                 members += word.count_ones();
                 let mut w = word;
                 while w != 0 {
@@ -235,11 +280,39 @@ impl MassTable {
                 }
             }
             assert_eq!(members, self.count[c], "class {c} count drifted");
+            let blocks = &self.block_count[c * self.blocks..(c + 1) * self.blocks];
+            for (b, chunk) in words.chunks(BLOCK_WORDS).enumerate() {
+                let ones: u32 = chunk.iter().map(|w| w.count_ones()).sum();
+                assert_eq!(blocks[b], ones, "class {c} block {b} count drifted");
+            }
+            for (s, chunk) in blocks.chunks(SUPER_BLOCKS).enumerate() {
+                assert_eq!(
+                    self.super_count[c * self.supers + s],
+                    chunk.iter().sum::<u32>(),
+                    "class {c} superblock {s} count drifted"
+                );
+            }
         }
         let counted: u32 = self.count.iter().sum();
         let classed = self.class.iter().filter(|&&c| c != CLASS_NONE).count();
         assert_eq!(counted as usize, classed, "membership drifted");
     }
+}
+
+/// The index of the entry of `counts` that holds the member of rank
+/// `*remaining` (0-based, counted from the first entry), leaving in
+/// `*remaining` that member's rank within the entry.
+fn locate(counts: &[u32], remaining: &mut u32) -> usize {
+    counts
+        .iter()
+        .position(|&n| {
+            let inside = *remaining < n;
+            if !inside {
+                *remaining -= n;
+            }
+            inside
+        })
+        .expect("selection index exceeds class cardinality")
 }
 
 /// The acceptance class of the move described by `ctx` under `hamiltonian`:
@@ -940,6 +1013,52 @@ mod tests {
     fn line_kmc(n: usize, lambda: f64, seed: u64) -> KmcChain {
         let sys = ParticleSystem::connected(shapes::line(n)).unwrap();
         KmcChain::from_seed(sys, lambda, seed).unwrap()
+    }
+
+    #[test]
+    fn select_matches_a_linear_scan_across_blocks() {
+        // 6·5000 pairs: 469 words per class, so 30 blocks in 2
+        // superblocks; the last block and the last superblock are partial.
+        let pairs = 6 * 5000;
+        let classes = 11;
+        let mut table = MassTable::new(pairs, classes);
+        let mut rng = StdRng::seed_from_u64(16);
+        for batch in 0..24 {
+            // Odd batches mostly clear pairs, so classes also run sparse.
+            let clear_share = if batch % 2 == 1 { 0.8 } else { 0.2 };
+            for _ in 0..3000 {
+                let k = rng.gen_range(0..pairs);
+                let class = if rng.gen::<f64>() < clear_share {
+                    CLASS_NONE
+                } else {
+                    rng.gen_range(0..classes as u8)
+                };
+                table.set(k, class);
+            }
+            table.assert_valid();
+            for c in 0..classes {
+                let members: Vec<u32> = (0..pairs as u32)
+                    .filter(|&k| table.class[k as usize] == c as u8)
+                    .collect();
+                assert_eq!(members.len() as u32, table.count[c]);
+                for (j, &k) in members.iter().enumerate() {
+                    assert_eq!(table.select(c, j as u32), k, "class {c}, j = {j}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn masses_stay_exact_across_many_blocks_and_a_crash() {
+        let mut rng = StdRng::seed_from_u64(2000);
+        let sys = ParticleSystem::connected(shapes::random_connected(2000, &mut rng)).unwrap();
+        let mut kmc = KmcChain::from_seed(sys, 4.0, 3).unwrap();
+        kmc.run(200_000);
+        assert!(kmc.counts().moved > 0);
+        kmc.crash(1000);
+        kmc.run(100_000);
+        assert_eq!(kmc.mass_histogram(), kmc.recomputed_mass_histogram());
+        kmc.assert_invariants();
     }
 
     #[test]

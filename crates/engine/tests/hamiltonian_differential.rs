@@ -11,7 +11,7 @@
 //! against an inline legacy reimplementation lives in
 //! `crates/core/tests/proptests.rs`; this file pins the absolute bytes.
 
-use sops::core::{CompressionChain, KmcChain, StepOutcome};
+use sops::core::{Alignment, CompressionChain, KmcChain, StepOutcome};
 use sops::system::{metrics, shapes, ParticleSystem};
 use sops_engine::testkit::{fnv, tmp_dir};
 use sops_engine::{Algorithm, CrashSpec, EngineConfig, HamiltonianSpec, JobGrid, Shape};
@@ -94,9 +94,11 @@ fn chain_with_crashes_matches_pre_refactor_bytes() {
 }
 
 /// `(shape, n, λ, seed, steps, snap_fnv, snap_len, hist)` recorded from the
-/// pre-refactor rejection-free sampler.
+/// pre-refactor rejection-free sampler. The n = 3000 row (282 words, 18
+/// blocks and 2 superblocks per class bitset) was added later, recorded
+/// before the mass table kept block counts.
 #[allow(clippy::type_complexity)]
-const GOLDEN_KMC: [(&str, usize, f64, u64, u64, u64, usize, [u64; 11]); 4] = [
+const GOLDEN_KMC: [(&str, usize, f64, u64, u64, u64, usize, [u64; 11]); 5] = [
     (
         "line",
         12,
@@ -137,6 +139,16 @@ const GOLDEN_KMC: [(&str, usize, f64, u64, u64, u64, usize, [u64; 11]); 4] = [
         318,
         [0, 0, 2, 11, 9, 4, 2, 0, 0, 0, 0],
     ),
+    (
+        "spiral",
+        3000,
+        6.0,
+        5,
+        2_000_000,
+        0x09251e0305818704,
+        18939,
+        [0, 0, 117, 96, 44, 40, 15, 2, 3, 0, 0],
+    ),
 ];
 
 #[test]
@@ -163,6 +175,33 @@ fn kmc_snapshots_and_mass_histograms_match_pre_refactor_bytes() {
         );
         assert_eq!(kmc.mass_histogram(), hist.to_vec(), "mass classes moved");
     }
+}
+
+/// A KMC run large enough that each class bitset of the mass table spans
+/// many 16-word blocks (`6n/64` = 188 words, 12 blocks at n = 2000), under
+/// the alignment Hamiltonian; the n = 3000 row of [`GOLDEN_KMC`] is the
+/// edge-count counterpart. Both were recorded before the table kept block
+/// counts, when drawing a member popcount-scanned the whole bitset.
+#[test]
+fn multiblock_alignment_kmc_matches_recorded_bytes() {
+    let (n, lambda, seed) = (2000, 4.0, 8);
+    let sys = ParticleSystem::connected(shapes::spiral(n))
+        .unwrap()
+        .with_random_orientations(3, seed ^ sops_engine::ORIENT_SALT);
+    let mut kmc = KmcChain::from_seed_with(sys, lambda, seed, Alignment { q: 3 }).unwrap();
+    kmc.run(1_000_000);
+    let snap = kmc.snapshot();
+    assert_eq!(snap.len(), 16490, "alignment kmc snapshot length changed");
+    assert_eq!(
+        fnv(snap.as_bytes()),
+        0xd1ad6dbdc4a11e98,
+        "alignment kmc snapshot bytes changed"
+    );
+    assert_eq!(
+        kmc.mass_histogram(),
+        [0, 0, 84, 210, 192, 180, 56, 15, 2, 0, 0],
+        "mass classes moved"
+    );
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Event throughput of the asynchronous local-algorithm simulator, and
-//! round cost of the checkerboard runner's flat and sharded paths.
+//! Event throughput of the asynchronous local-algorithm simulator (small n
+//! and the `local-large` workload's n = 10⁵), and round cost of the
+//! checkerboard runner's flat and sharded paths.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sops::core::sharded::{SerialExecutor, ShardedLocalRunner};
@@ -16,6 +17,16 @@ fn bench_activations(c: &mut Criterion) {
             b.iter(|| runner.step());
         });
     }
+    // At the `local-large` workload's size, where the per-particle state
+    // outgrows the small-n rows' caches: a random start warmed by one round.
+    let n = 100_000usize;
+    let mut rng = StdRng::seed_from_u64(2016);
+    let start = ParticleSystem::connected(shapes::random_connected(n, &mut rng)).unwrap();
+    group.bench_with_input(BenchmarkId::new("activation", n), &n, |b, _| {
+        let mut runner = LocalRunner::from_seed(&start, 4.0, 5).unwrap();
+        runner.run_rounds(1);
+        b.iter(|| runner.step());
+    });
     group.throughput(Throughput::Elements(100));
     group.bench_function("round_n100", |b| {
         let start = ParticleSystem::connected(shapes::line(100)).unwrap();

@@ -16,9 +16,12 @@
 //! 3.2): inter-activation delays are `Exp(1)`, which makes every particle
 //! equally likely to act next regardless of history, so the asynchronous
 //! execution emulates the uniform particle selection of Markov chain `M`.
-//! The runner is a discrete-event simulator with a future-event list; the
-//! sequentialization of atomic actions is exactly the standard asynchronous
-//! model argument of Section 2.1.
+//! The runner is a discrete-event simulator whose future-event list is a
+//! calendar queue: each particle owns at most one pending event (a crashed
+//! particle's lapses when it rings), kept in a ring of at least n time
+//! buckets, so an activation costs O(1) queue work rather than a heap's
+//! O(log n). The sequentialization of atomic actions is exactly the
+//! standard asynchronous model argument of Section 2.1.
 //!
 //! The *configuration* of the system at any instant is the set of particle
 //! **tails** (heads are ignored; Section 2.2, footnote 2), exposed as
@@ -29,9 +32,7 @@
 //! reads the flat view of its particle table; [`crate::sharded`] shares the
 //! same table and supplies a second view over one region cell and its halo.
 
-use core::cmp::Ordering;
 use core::fmt::Write as _;
-use std::collections::BinaryHeap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -76,33 +77,213 @@ pub enum Activation {
     },
 }
 
-#[derive(Clone, Copy, Debug)]
+/// A pending activation: particle `id`'s Poisson clock rings at `time`.
+/// Events run earliest first, ties by lower id (`f64::total_cmp`, then id).
+#[derive(Clone, Copy, Debug, PartialEq)]
 struct Event {
     time: f64,
     id: usize,
 }
 
-impl PartialEq for Event {
-    fn eq(&self, other: &Self) -> bool {
-        self.cmp(other) == Ordering::Equal
-    }
+/// [`Calendar`] link: the last particle of a bucket's list.
+const END: u32 = u32::MAX;
+
+/// [`Calendar`] link: the particle has no pending event.
+const IDLE: u32 = u32::MAX - 1;
+
+/// The smallest [`Calendar`] ring: at small n, short bucket lists beat a
+/// smaller table.
+const MIN_BUCKETS: usize = 256;
+
+/// A particle's entry in the [`Calendar`]: its pending event's time and the
+/// next particle in the same bucket.
+#[derive(Clone, Copy, Debug)]
+struct Entry {
+    time: f64,
+    next: u32,
 }
 
-impl Eq for Event {}
-
-impl PartialOrd for Event {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
+/// The future-event list: a calendar queue built on each particle owning
+/// at most one pending event.
+///
+/// An event at `time` has the key `⌊time · scale⌋` (the cast saturates) and
+/// sits in bucket `key mod buckets`, on a list linked through the particles'
+/// own entries. The key never decreases as time grows, so the earliest
+/// event is the least `(time, id)` among the events holding the least key.
+/// `pop` walks the ring from `cursor`, a lower bound on every pending key,
+/// skips empty buckets by the `occupied` bitmap, and takes the least event
+/// whose key is the one the walk has reached; after a full lap without one
+/// it finds the least key among all events. Near the clock there are about
+/// n events per unit of time, one per bucket, so a step touches O(1)
+/// buckets.
+#[derive(Clone, Debug)]
+struct Calendar {
+    /// Per particle, indexed by id.
+    entries: Vec<Entry>,
+    /// Per bucket: the first particle of its list, or [`END`].
+    heads: Vec<u32>,
+    /// Bit `b % 64` of word `b / 64` is set iff bucket `b` is non-empty.
+    occupied: Vec<u64>,
+    /// Buckets per unit of time.
+    scale: f64,
+    /// Every pending event's key is at least this.
+    cursor: u64,
+    len: usize,
 }
 
-impl Ord for Event {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // Reversed: BinaryHeap is a max-heap, we want earliest-first.
-        other
-            .time
-            .total_cmp(&self.time)
-            .then_with(|| other.id.cmp(&self.id))
+impl Calendar {
+    /// An empty queue for particles `0..n`: about n buckets per unit of
+    /// time, and a ring of twice that (at least [`MIN_BUCKETS`]), so a lap
+    /// spans two units and only `e^-2` of the pending events lie beyond it.
+    fn new(n: usize) -> Calendar {
+        let scale = n.next_power_of_two();
+        let buckets = (2 * scale).max(MIN_BUCKETS);
+        Calendar {
+            entries: vec![
+                Entry {
+                    time: 0.0,
+                    next: IDLE,
+                };
+                n
+            ],
+            heads: vec![END; buckets],
+            occupied: vec![0; buckets / 64],
+            scale: scale as f64,
+            cursor: 0,
+            len: 0,
+        }
+    }
+
+    #[inline]
+    fn key(&self, time: f64) -> u64 {
+        (time * self.scale) as u64
+    }
+
+    #[inline]
+    fn bucket(&self, key: u64) -> usize {
+        key as usize & (self.heads.len() - 1)
+    }
+
+    /// Schedules particle `id`, which has no pending event, at `time`.
+    #[inline]
+    fn push(&mut self, id: usize, time: f64) {
+        debug_assert!(
+            self.entries[id].next == IDLE,
+            "particle {id} already queued"
+        );
+        debug_assert!(!time.is_nan(), "event time is NaN");
+        let key = self.key(time);
+        if self.len == 0 || key < self.cursor {
+            self.cursor = key;
+        }
+        let b = self.bucket(key);
+        self.entries[id] = Entry {
+            time,
+            next: self.heads[b],
+        };
+        self.heads[b] = id as u32;
+        self.occupied[b / 64] |= 1 << (b % 64);
+        self.len += 1;
+    }
+
+    /// Removes and returns the earliest event (ties by lower id).
+    #[inline]
+    fn pop(&mut self) -> Option<Event> {
+        if self.len == 0 {
+            return None;
+        }
+        let lap_end = self.cursor.saturating_add(self.heads.len() as u64);
+        let mut key = self.cursor;
+        while key < lap_end {
+            let from = self.bucket(key);
+            let b = self.next_occupied(from);
+            match key.checked_add((b.wrapping_sub(from) & (self.heads.len() - 1)) as u64) {
+                Some(k) if k < lap_end => key = k,
+                _ => break,
+            }
+            if let Some(event) = self.take_least(b, key) {
+                self.cursor = key;
+                return Some(event);
+            }
+            key += 1;
+        }
+        // A full lap holds no event: jump to the least key.
+        let mut least = u64::MAX;
+        for (w, &word) in self.occupied.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                let mut id = self.heads[w * 64 + bits.trailing_zeros() as usize];
+                while id != END {
+                    let entry = self.entries[id as usize];
+                    least = least.min(self.key(entry.time));
+                    id = entry.next;
+                }
+                bits &= bits - 1;
+            }
+        }
+        self.cursor = least;
+        self.take_least(self.bucket(least), least)
+    }
+
+    /// The first non-empty bucket at or after `from`, wrapping around the
+    /// ring. The queue must not be empty.
+    #[inline]
+    fn next_occupied(&self, from: usize) -> usize {
+        let last = self.occupied.len() - 1;
+        let mut w = from / 64;
+        let mut bits = self.occupied[w] & (!0 << (from % 64));
+        while bits == 0 {
+            w = (w + 1) & last;
+            bits = self.occupied[w];
+        }
+        w * 64 + bits.trailing_zeros() as usize
+    }
+
+    /// Unlinks and returns the least `(time, id)` among bucket `b`'s events
+    /// with key `key`, if it has any.
+    #[inline]
+    fn take_least(&mut self, b: usize, key: u64) -> Option<Event> {
+        let mut best: Option<(u32, u32)> = None; // (prev, id)
+        let mut prev = END;
+        let mut id = self.heads[b];
+        while id != END {
+            let entry = self.entries[id as usize];
+            if self.key(entry.time) == key
+                && best.map_or(true, |(_, least)| {
+                    let other = self.entries[least as usize].time;
+                    entry.time.total_cmp(&other).then(id.cmp(&least)).is_lt()
+                })
+            {
+                best = Some((prev, id));
+            }
+            prev = id;
+            id = entry.next;
+        }
+        let (prev, id) = best?;
+        let entry = self.entries[id as usize];
+        if prev == END {
+            self.heads[b] = entry.next;
+            if entry.next == END {
+                self.occupied[b / 64] &= !(1 << (b % 64));
+            }
+        } else {
+            self.entries[prev as usize].next = entry.next;
+        }
+        self.entries[id as usize].next = IDLE;
+        self.len -= 1;
+        Some(Event {
+            time: entry.time,
+            id: id as usize,
+        })
+    }
+
+    /// The pending events in id order.
+    fn iter(&self) -> impl Iterator<Item = Event> + '_ {
+        self.entries
+            .iter()
+            .enumerate()
+            .filter(|(_, e)| e.next != IDLE)
+            .map(|(id, e)| Event { time: e.time, id })
     }
 }
 
@@ -519,7 +700,7 @@ impl ParticleTable {
 #[derive(Clone, Debug)]
 pub struct LocalRunner<R: Rng = StdRng> {
     table: ParticleTable,
-    queue: BinaryHeap<Event>,
+    queue: Calendar,
     time: f64,
     rng: R,
     activations: u64,
@@ -552,16 +733,15 @@ impl LocalRunner<StdRng> {
     /// flags), the future-event list, round bookkeeping, crash set and exact
     /// RNG state — as a compact text snapshot.
     ///
+    /// The future-event list (`queue=`) is written in particle-id order, so
+    /// equal states give equal bytes; [`LocalRunner::restore`] accepts its
+    /// events in any order.
+    ///
     /// [`LocalRunner::restore`] rebuilds a runner whose continued execution
     /// is bitwise identical to running this one uninterrupted; see
     /// [`crate::snapshot`] for the format and guarantees.
     #[must_use]
     pub fn snapshot(&self) -> String {
-        let events: Vec<String> = self
-            .queue
-            .iter()
-            .map(|e| format!("{}:{}", snapshot::f64_to_hex(e.time), e.id))
-            .collect();
         let mut s = String::from("sops-local-snapshot v1\n");
         let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.table.lambda));
         let _ = writeln!(s, "time={}", snapshot::f64_to_hex(self.time));
@@ -577,7 +757,14 @@ impl LocalRunner<StdRng> {
         );
         let _ = writeln!(s, "rng={}", snapshot::rng_to_string(&self.rng));
         self.table.write_particles(&mut s);
-        let _ = writeln!(s, "queue={}", events.join(";"));
+        s.push_str("queue=");
+        for (i, event) in self.queue.iter().enumerate() {
+            if i > 0 {
+                s.push(';');
+            }
+            let _ = write!(s, "{}:{}", snapshot::f64_to_hex(event.time), event.id);
+        }
+        s.push('\n');
         s
     }
 
@@ -587,18 +774,23 @@ impl LocalRunner<StdRng> {
     ///
     /// [`SnapshotError`] when the text is malformed or describes an invalid
     /// state (overlapping sites, a head not adjacent to its tail, a
-    /// coordinate beyond ±2^30, an event for an unknown particle, round
-    /// bookkeeping that could never complete a round, bad λ).
+    /// coordinate beyond ±2^30, a negative or non-finite clock, an event for
+    /// an unknown particle or at a non-finite time or before the clock,
+    /// round bookkeeping that could never complete a round, bad λ).
     pub fn restore(text: &str) -> Result<LocalRunner<StdRng>, SnapshotError> {
         let fields = snapshot::Fields::parse(text, "sops-local-snapshot v1")?;
         let table = ParticleTable::restore(&fields)?;
         let n = table.len();
+        let time = fields.parse_f64_bits("time")?;
+        if !time.is_finite() || time < 0.0 {
+            return Err(SnapshotError::Invalid(format!("bad clock time {time}")));
+        }
         let raw_queue = fields.get("queue")?;
         let bad_queue = || SnapshotError::BadField {
             field: "queue",
             value: raw_queue.to_string(),
         };
-        let mut queue = BinaryHeap::with_capacity(n);
+        let mut queue = Calendar::new(n);
         let mut queued = vec![false; n];
         for item in raw_queue.split(';').filter(|i| !i.is_empty()) {
             let (time_hex, id) = item.split_once(':').ok_or_else(bad_queue)?;
@@ -613,10 +805,13 @@ impl LocalRunner<StdRng> {
                     "particle {id} has two pending events"
                 )));
             }
-            queue.push(Event {
-                time: snapshot::f64_from_hex("queue", time_hex)?,
-                id,
-            });
+            let at = snapshot::f64_from_hex("queue", time_hex)?;
+            if !at.is_finite() || at < time {
+                return Err(SnapshotError::Invalid(format!(
+                    "event of particle {id} at {at}, clock at {time}"
+                )));
+            }
+            queue.push(id, at);
         }
         let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, n)?;
         let live = crashed.iter().filter(|&&dead| !dead).count();
@@ -642,7 +837,7 @@ impl LocalRunner<StdRng> {
         Ok(LocalRunner {
             table,
             queue,
-            time: fields.parse_f64_bits("time")?,
+            time,
             rng: snapshot::rng_from_string("rng", fields.get("rng")?)?,
             activations: fields.parse_num("activations")?,
             moves_completed: fields.parse_num("moves")?,
@@ -670,10 +865,9 @@ impl<R: Rng> LocalRunner<R> {
     ) -> Result<LocalRunner<R>, ChainError> {
         let table = ParticleTable::contracted(start, lambda)?;
         let n = table.len();
-        let mut queue = BinaryHeap::with_capacity(n);
+        let mut queue = Calendar::new(n);
         for id in 0..n {
-            let delay = exp1(&mut rng);
-            queue.push(Event { time: delay, id });
+            queue.push(id, exp1(&mut rng));
         }
         Ok(LocalRunner {
             table,
@@ -784,11 +978,7 @@ impl<R: Rng> LocalRunner<R> {
         self.moves_completed += u64::from(matches!(outcome, Activation::ContractedForward { .. }));
         self.probes.record(outcome);
         // Reschedule with a fresh Exp(1) delay.
-        let next = Event {
-            time: self.time + exp1(&mut self.rng),
-            id,
-        };
-        self.queue.push(next);
+        self.queue.push(id, self.time + exp1(&mut self.rng));
         // Round bookkeeping.
         if !self.activated_in_round[id] {
             self.activated_in_round[id] = true;
@@ -1119,6 +1309,177 @@ mod tests {
         let mut edge = LocalRunner::restore(&lone_particle_at("1073741824,-1073741824,0")).unwrap();
         edge.run_activations(100);
         edge.assert_invariants();
+    }
+
+    #[test]
+    fn restore_rejects_negative_clock() {
+        let snap = runner(6, 4.0, 3).snapshot();
+        assert_invalid(&with_field(&snap, "time", &snapshot::f64_to_hex(-1.0)));
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_clock() {
+        let snap = runner(6, 4.0, 3).snapshot();
+        for bad in [f64::INFINITY, f64::NAN] {
+            assert_invalid(&with_field(&snap, "time", &snapshot::f64_to_hex(bad)));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_non_finite_event_time() {
+        let mut a = runner(6, 4.0, 3);
+        a.run_activations(7);
+        let snap = a.snapshot();
+        let queue = snap.lines().find_map(|l| l.strip_prefix("queue=")).unwrap();
+        let (first, rest) = queue.split_once(';').unwrap();
+        let id = first.split_once(':').unwrap().1;
+        for bad in [f64::INFINITY, f64::NAN] {
+            let queue = format!("{}:{id};{rest}", snapshot::f64_to_hex(bad));
+            assert_invalid(&with_field(&snap, "queue", &queue));
+        }
+    }
+
+    #[test]
+    fn restore_rejects_event_before_clock() {
+        let mut a = runner(6, 4.0, 3);
+        a.run_activations(7);
+        let snap = a.snapshot();
+        assert!(LocalRunner::restore(&snap).is_ok());
+        let late = snapshot::f64_to_hex(a.time() + 1e6);
+        assert_invalid(&with_field(&snap, "time", &late));
+    }
+
+    #[test]
+    fn one_live_particle_in_a_large_ring_completes_rounds() {
+        let mut rng = StdRng::seed_from_u64(4);
+        let start = ParticleSystem::connected(shapes::random_connected(2000, &mut rng)).unwrap();
+        let mut r = LocalRunner::from_seed(&start, 4.0, 4).unwrap();
+        assert!(r.queue.heads.len() >= 4096);
+        for id in 1..r.len() {
+            r.crash(id);
+        }
+        r.run_rounds(3);
+        assert_eq!(r.rounds(), 3);
+        r.assert_invariants();
+    }
+
+    /// An [`Event`] ordered for `BinaryHeap`, a max-heap, so that it pops
+    /// earliest first, ties by lower id: the [`Calendar`]'s oracle.
+    #[derive(PartialEq)]
+    struct Earliest(Event);
+
+    impl Eq for Earliest {}
+
+    impl PartialOrd for Earliest {
+        fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+
+    impl Ord for Earliest {
+        fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+            let (a, b) = (self.0, other.0);
+            b.time.total_cmp(&a.time).then_with(|| b.id.cmp(&a.id))
+        }
+    }
+
+    /// Runs `ops` random pushes and pops on a [`Calendar`] over `n`
+    /// particles and on a `BinaryHeap` oracle, then drains both: each pop
+    /// must agree. A push schedules an idle particle `delay` after the last
+    /// popped time, as the runner does.
+    fn check_against_heap(n: usize, ops: usize, seed: u64, delay: impl Fn(&mut StdRng) -> f64) {
+        use std::collections::BinaryHeap;
+        let mut rng = StdRng::seed_from_u64(seed);
+        let mut calendar = Calendar::new(n);
+        let mut heap = BinaryHeap::new();
+        let mut idle: Vec<usize> = (0..n).collect();
+        let mut clock = 0.0;
+        for _ in 0..ops {
+            if !idle.is_empty() && (heap.is_empty() || rng.gen_bool(0.5)) {
+                let id = idle.swap_remove(rng.gen_range(0..idle.len()));
+                let time = clock + delay(&mut rng);
+                calendar.push(id, time);
+                heap.push(Earliest(Event { time, id }));
+            } else {
+                let event = calendar.pop();
+                assert_eq!(event, heap.pop().map(|e| e.0));
+                let event = event.unwrap();
+                clock = event.time;
+                idle.push(event.id);
+            }
+        }
+        // `iter` lists exactly the pending events, in id order.
+        let mut pending: Vec<(usize, u64)> =
+            heap.iter().map(|e| (e.0.id, e.0.time.to_bits())).collect();
+        pending.sort_unstable();
+        let listed: Vec<(usize, u64)> = calendar.iter().map(|e| (e.id, e.time.to_bits())).collect();
+        assert_eq!(listed, pending);
+        while let Some(Earliest(event)) = heap.pop() {
+            assert_eq!(calendar.pop(), Some(event));
+        }
+        assert_eq!(calendar.pop(), None);
+        assert_eq!(calendar.iter().count(), 0);
+    }
+
+    #[test]
+    fn calendar_pops_exp1_delays_like_a_heap() {
+        for (n, seed) in [(1, 1), (60, 2), (1000, 3), (5000, 4)] {
+            check_against_heap(n, 40_000, seed, exp1);
+        }
+    }
+
+    #[test]
+    fn calendar_breaks_equal_times_by_id() {
+        // Delays from a small set: many events share a time, some share
+        // the clock itself.
+        check_against_heap(300, 40_000, 5, |rng| {
+            [0.0, 0.25, 0.5][rng.gen_range(0..3usize)]
+        });
+    }
+
+    #[test]
+    fn calendar_pops_events_laps_ahead_like_a_heap() {
+        // 10^3 to 10^6 time units ahead: far beyond one lap of the ring.
+        check_against_heap(500, 20_000, 6, |rng| 10f64.powf(rng.gen_range(3.0..6.0)));
+        // Mixed with near events, so both the ring walk and the fallback
+        // pop.
+        check_against_heap(500, 20_000, 7, |rng| {
+            if rng.gen_bool(0.1) {
+                10f64.powf(rng.gen_range(3.0..6.0))
+            } else {
+                exp1(rng)
+            }
+        });
+    }
+
+    #[test]
+    fn calendar_keeps_order_at_times_up_to_2_pow_50() {
+        // At n = 2^17 the key `time · 2^17` saturates beyond 2^47.
+        for n in [64, 1 << 17] {
+            check_against_heap(n, 4_000, 8, |rng| 2f64.powf(rng.gen_range(0.0..50.0)));
+            let mut calendar = Calendar::new(n);
+            for (id, time) in [(0, 2f64.powi(50)), (1, 2f64.powi(49)), (2, 2f64.powi(50))] {
+                calendar.push(id, time);
+            }
+            let order: Vec<usize> = std::iter::from_fn(|| calendar.pop().map(|e| e.id)).collect();
+            assert_eq!(order, [1, 0, 2], "n = {n}");
+        }
+    }
+
+    #[test]
+    fn calendar_holds_a_single_event_in_a_large_ring() {
+        let mut calendar = Calendar::new(4096);
+        assert!(calendar.heads.len() >= 4096);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut clock = 0.0;
+        for k in 0..5_000usize {
+            let id = k * 7 % 4096;
+            let time = clock + exp1(&mut rng) * 10f64.powi(k as i32 % 4);
+            calendar.push(id, time);
+            assert_eq!(calendar.pop(), Some(Event { time, id }));
+            assert_eq!(calendar.pop(), None);
+            clock = time;
+        }
     }
 
     #[test]

@@ -10,7 +10,9 @@
 //!   index — three words instead of the whole output buffer).
 //! * [`crate::local::LocalRunner::snapshot`] additionally captures the
 //!   expanded heads, per-particle flags, the Poisson future-event list and
-//!   the asynchronous round bookkeeping.
+//!   the asynchronous round bookkeeping. The future-event list (`queue=`,
+//!   one `time:id` per pending event) is written in particle-id order, and
+//!   restore accepts its events in any order.
 //!
 //! Restoring a snapshot and continuing produces the **bitwise identical**
 //! trajectory of the uninterrupted run: floats round-trip through their IEEE

@@ -8,7 +8,7 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 use rand::Rng;
-use sops_lattice::{Direction, TriMap, TriPoint, TriSet};
+use sops_lattice::{Direction, TileGrid, TriMap, TriPoint, TriSet};
 
 /// A straight line of `n` particles along the east axis: `(0,0) … (n−1,0)`.
 ///
@@ -231,33 +231,31 @@ pub fn figure3_witness() -> Vec<TriPoint> {
 /// [`crate::holes::analyze`] when hole-freeness matters.
 #[must_use]
 pub fn random_connected(n: usize, rng: &mut impl Rng) -> Vec<TriPoint> {
+    // One grid holds the cluster (payload `PLACED`) and its frontier
+    // (`FRONTIER`): a cell is a candidate iff it is in the grid unplaced.
+    const PLACED: u32 = 0;
+    const FRONTIER: u32 = 1;
     let mut placed: Vec<TriPoint> = Vec::with_capacity(n);
     if n == 0 {
         return placed;
     }
-    let mut occupied: TriSet<TriPoint> = TriSet::default();
+    let mut cells = TileGrid::new();
     let mut frontier: Vec<TriPoint> = Vec::new();
-    let mut in_frontier: TriSet<TriPoint> = TriSet::default();
-    placed.push(TriPoint::ORIGIN);
-    occupied.insert(TriPoint::ORIGIN);
-    for q in TriPoint::ORIGIN.neighbors() {
-        if in_frontier.insert(q) {
-            frontier.push(q);
-        }
-    }
-    while placed.len() < n {
-        let idx = rng.gen_range(0..frontier.len());
-        let cell = frontier.swap_remove(idx);
-        in_frontier.remove(&cell);
-        occupied.insert(cell);
+    let mut cell = TriPoint::ORIGIN;
+    loop {
+        cells.insert(cell, PLACED);
         placed.push(cell);
+        if placed.len() == n {
+            return placed;
+        }
         for q in cell.neighbors() {
-            if !occupied.contains(&q) && in_frontier.insert(q) {
+            if !cells.contains(q) {
+                cells.insert(q, FRONTIER);
                 frontier.push(q);
             }
         }
+        cell = frontier.swap_remove(rng.gen_range(0..frontier.len()));
     }
-    placed
 }
 
 /// A random connected *tree-like* configuration biased toward long

@@ -793,6 +793,19 @@ mod tests {
             CompressionChain::<StdRng>::restore(&truncated).unwrap_err(),
             SnapshotError::MissingField("rng")
         ));
+        // A word index past the block's 16 words is corrupt, not clamped.
+        let bad_index: String = valid
+            .lines()
+            .map(|l| match l.strip_prefix("rng=") {
+                Some(rng) => format!("rng={}/99", &rng[..rng.rfind('/').unwrap()]),
+                None => l.to_string(),
+            })
+            .collect::<Vec<_>>()
+            .join("\n");
+        assert!(matches!(
+            CompressionChain::<StdRng>::restore(&bad_index).unwrap_err(),
+            SnapshotError::BadField { field: "rng", .. }
+        ));
     }
 
     #[test]

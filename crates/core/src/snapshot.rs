@@ -147,7 +147,8 @@ pub fn rng_to_string(rng: &StdRng) -> String {
 ///
 /// # Errors
 ///
-/// [`SnapshotError::BadField`] on any malformed component.
+/// [`SnapshotError::BadField`] on any malformed component, including a word
+/// index above 16 (a block has 16 words; 16 means it is used up).
 pub fn rng_from_string(field: &'static str, value: &str) -> Result<StdRng, SnapshotError> {
     let bad = || SnapshotError::BadField {
         field,
@@ -157,7 +158,7 @@ pub fn rng_from_string(field: &'static str, value: &str) -> Result<StdRng, Snaps
     let key_part = parts.next().ok_or_else(bad)?;
     let counter: u64 = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
     let index: usize = parts.next().and_then(|s| s.parse().ok()).ok_or_else(bad)?;
-    if parts.next().is_some() {
+    if index > 16 || parts.next().is_some() {
         return Err(bad());
     }
     let mut key = [0u32; 8];
@@ -402,6 +403,24 @@ mod tests {
         let mut resumed = rng_from_string("rng", &rng_to_string(&rng)).unwrap();
         for _ in 0..100 {
             assert_eq!(rng.gen::<u64>(), resumed.gen::<u64>());
+        }
+    }
+
+    #[test]
+    fn rng_string_rejects_an_impossible_word_index() {
+        let key = "0,1,2,3,4,5,6,7";
+        for index in [0, 15, 16] {
+            assert!(rng_from_string("rng", &format!("{key}/9/{index}")).is_ok());
+        }
+        for index in ["17", "99", "-1", "x"] {
+            let value = format!("{key}/9/{index}");
+            assert_eq!(
+                rng_from_string("rng", &value).unwrap_err(),
+                SnapshotError::BadField {
+                    field: "rng",
+                    value
+                }
+            );
         }
     }
 

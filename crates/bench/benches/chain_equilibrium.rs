@@ -12,7 +12,8 @@
 //! the accepted-moves/sec speedup equals the wall-clock ratio of the two
 //! timings. The probe lines printed after the timings report the measured
 //! acceptance rate (and thus accepted moves per chunk) used to convert
-//! ns/iter into accepted-moves/sec in `BENCH_kmc.json`.
+//! ns/iter into accepted-moves/sec in `BENCH_kmc.json`. `kmc_build/10000`
+//! times the rejection-free sampler's construction alone.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use sops::prelude::*;
@@ -53,6 +54,17 @@ fn bench_equilibrium(c: &mut Criterion) {
         kmc.run(BURN_IN);
         b.iter(|| kmc.run(CHUNK));
     });
+    // Building the mass table and the pair masks from the workload's
+    // start; each iteration also clones the start (one grid copy).
+    group.throughput(Throughput::Elements(KMC_ONLY_N as u64));
+    group.bench_with_input(
+        BenchmarkId::new("kmc_build", KMC_ONLY_N),
+        &KMC_ONLY_N,
+        |b, &n| {
+            let start = compressed_start(n);
+            b.iter(|| KmcChain::from_seed(start.clone(), LAMBDA, 7).unwrap());
+        },
+    );
     group.finish();
 
     // Acceptance-rate probes: accepted-moves/sec = rate · CHUNK / t_iter.

@@ -25,16 +25,20 @@ use sops_bench::{out, Args};
 /// column can cross-check the rejection-free implementation against the
 /// exact distribution too (`--algo chain-kmc`).
 enum Sampler {
-    Chain(CompressionChain),
-    Kmc(KmcChain),
+    Chain(Box<CompressionChain>),
+    Kmc(Box<KmcChain>),
 }
 
 impl Sampler {
     fn new(kmc: bool, start: ParticleSystem, lambda: f64, seed: u64) -> Sampler {
         if kmc {
-            Sampler::Kmc(KmcChain::from_seed(start, lambda, seed).expect("params"))
+            Sampler::Kmc(Box::new(
+                KmcChain::from_seed(start, lambda, seed).expect("params"),
+            ))
         } else {
-            Sampler::Chain(CompressionChain::from_seed(start, lambda, seed).expect("params"))
+            Sampler::Chain(Box::new(
+                CompressionChain::from_seed(start, lambda, seed).expect("params"),
+            ))
         }
     }
 

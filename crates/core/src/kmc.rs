@@ -50,6 +50,18 @@
 //! dependency set actually touches a changed site. An O(1) neighborhood per
 //! accepted move.
 //!
+//! The sampler stores every pair's nine-bit mask (ring bits 0–7, target
+//! bit 8), the six of particle `id` packed in word `id` as
+//! [`sops_system::moves::pair_masks_in_window25`] packs them: one 5×5
+//! window gather and five row-table lookups per particle at construction.
+//! After a move, the bits a planned pair reads on `ℓ` (now empty) and `ℓ′`
+//! (now occupied) are known in advance: each plan entry carries them as a
+//! `(clear, set)` patch, so every planned particle except the mover gets
+//! its masks by one clear and one set, without reading the grid, and only
+//! the patched directions are reclassified. The mover's masks moved with
+//! it, so it gathers all six afresh. Crashed particles are patched too,
+//! keeping every stored mask exact; their classes stay zero.
+//!
 //! Masses take at most one distinct value `min(1, λ^Δ)` per energy delta
 //! `Δ` in the [`Hamiltonian`]'s declared range (`Δ = e′ − e ∈ [−5, 5]`,
 //! hence 11 classes, for the default edge count), so the table is a
@@ -61,7 +73,9 @@
 //! table a pure function of the configuration (so snapshots can omit it and
 //! still continue bit-for-bit) — and no floating-point accumulator ever
 //! drifts: the histogram is integral, verified by a property test against a
-//! from-scratch recount.
+//! from-scratch recount. The stored pair masks are a pure function of the
+//! configuration as well; snapshots omit them and restores rebuild them,
+//! and [`KmcChain::assert_invariants`] checks each against a fresh gather.
 //!
 //! The tower works for *any* [`Hamiltonian`] honoring the locality contract
 //! of [`crate::hamiltonian`]: bounded integer deltas give the finitely many
@@ -74,7 +88,7 @@ use core::fmt;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sops_lattice::{Direction, TriPoint};
-use sops_system::{metrics, moves, ParticleSystem};
+use sops_system::{metrics, moves, MoveValidity, ParticleSystem};
 
 use crate::chain::{ChainError, TrajectoryPoint};
 use crate::hamiltonian::{EdgeCount, Hamiltonian, MoveContext};
@@ -333,55 +347,50 @@ fn class_of_move<H: Hamiltonian>(hamiltonian: &H, delta_min: i32, ctx: &MoveCont
     }
 }
 
-/// Recomputes the masses of particle `id` at `pos` for the directions in
-/// `dmask` (bit `i` = `Direction::from_index(i)`).
+/// Files the pairs of particle `id` at `pos` in the directions `dirs` (bit
+/// `i` = `Direction::from_index(i)`) under the classes their pair masks
+/// give, `masks` being the particle's six packed pair masks
+/// ([`moves::pair_masks_in_window25`] layout).
 ///
-/// One 5×5 window gather answers the structural validity of all requested
-/// directions (every pair ring of `pos` lies inside it) plus the interior
-/// fast path (six occupied neighbors ⇒ every move blocked); the Hamiltonian
-/// then classifies each structurally valid move. A free function over split
+/// Structural validity is decoded from each mask; the Hamiltonian then
+/// classifies each structurally valid move. A free function over split
 /// borrows so the revalidation closure in [`KmcChain::accept_move`] can
 /// mutate the table while reading the configuration. Directions outside
-/// `dmask` are untouched — the caller guarantees their dependency sets did
+/// `dirs` are untouched — the caller guarantees their dependency sets did
 /// not change (this is exactly where the locality contract of
 /// [`crate::hamiltonian`] is load-bearing).
 #[allow(clippy::too_many_arguments)]
-fn refresh_masses<H: Hamiltonian>(
+fn classify_pairs<H: Hamiltonian>(
     hamiltonian: &H,
     delta_min: i32,
     sys: &ParticleSystem,
-    crashed: &[bool],
     masses: &mut MassTable,
     id: usize,
     pos: TriPoint,
-    dmask: u8,
+    masks: u64,
+    dirs: u8,
 ) {
-    let base = id * 6;
-    if crashed[id] {
-        // A crashed particle's classes are already all CLASS_NONE and stay
-        // there.
-        return;
-    }
-    let window = sys.window25(pos);
-    let interior = (window & moves::WINDOW25_NEIGHBORS).count_ones() == 6;
-    let mut bits = dmask;
+    let mut bits = dirs;
     while bits != 0 {
         let d = bits.trailing_zeros() as usize;
         bits &= bits - 1;
-        let class = if interior {
+        let dir = Direction::from_index(d);
+        let mask = moves::pair_mask(masks, dir);
+        // An occupied target blocks the move (most pairs of a compressed
+        // configuration): skip decoding the rest of the mask.
+        let class = if mask & moves::PAIR_TARGET_BIT != 0 {
             CLASS_NONE
         } else {
-            let dir = Direction::from_index(d);
             let ctx = MoveContext {
                 sys,
                 id,
                 from: pos,
                 dir,
-                validity: moves::check_move_in_window25(window, dir),
+                validity: MoveValidity::from_pair_mask(mask),
             };
             class_of_move(hamiltonian, delta_min, &ctx)
         };
-        masses.set(base + d, class);
+        masses.set(id * 6 + d, class);
     }
 }
 
@@ -428,6 +437,11 @@ pub struct KmcChain<R: Rng = StdRng, H: Hamiltonian = EdgeCount> {
     /// Cached `hamiltonian.delta_min()` — the class-index offset.
     delta_min: i32,
     masses: MassTable,
+    /// Per particle: its six pair masks, packed as
+    /// [`moves::pair_masks_in_window25`] packs them (pair `(id, d)` at bits
+    /// `[9d, 9d + 9)` of word `id`). Exact for every particle, crashed ones
+    /// included; like `masses`, a pure function of the configuration.
+    pair_masks: Vec<u64>,
     rng: R,
     steps: u64,
     /// The next accepted move, when its dwell is already drawn.
@@ -477,9 +491,10 @@ impl<H: Hamiltonian> KmcChain<StdRng, H> {
 
     /// Serializes the sampler state as a compact text snapshot.
     ///
-    /// The acceptance-mass table is *not* stored: it is a pure function of
-    /// the configuration and crash set, and [`KmcChain::restore`] rebuilds
-    /// it deterministically — snapshots stay the size of the configuration.
+    /// The acceptance-mass table and the pair masks are *not* stored: they
+    /// are a pure function of the configuration and crash set, and
+    /// [`KmcChain::restore`] rebuilds them deterministically — snapshots
+    /// stay the size of the configuration.
     /// The pending dwell (if drawn) is stored, so restoring and continuing
     /// reproduces the uninterrupted trajectory bit for bit. The
     /// `hamiltonian` and `orientations` lines appear only for non-default
@@ -647,6 +662,7 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
             weight,
             delta_min,
             masses: MassTable::new(6 * n, classes),
+            pair_masks: vec![0; n],
             rng,
             steps: 0,
             pending: None,
@@ -717,8 +733,8 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
     }
 
     /// Enables per-accepted-move invariant validation (connectivity,
-    /// hole-freeness and mass-table coherence re-checked after every
-    /// accepted move). Expensive; intended for tests.
+    /// hole-freeness, pair masks and mass-table coherence re-checked after
+    /// every accepted move). Expensive; intended for tests.
     pub fn set_validation(&mut self, enabled: bool) {
         self.validate = enabled;
     }
@@ -812,16 +828,19 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
         self.measure.perimeter(&self.sys)
     }
 
-    /// Recomputes all six masses of the particle `id` at `pos`.
+    /// Gathers the six pair masks of the particle `id` at `pos` and
+    /// classifies its pairs.
     fn refresh_particle(&mut self, id: usize, pos: TriPoint) {
-        refresh_masses(
+        let masks = moves::pair_masks_in_window25(self.sys.window25(pos));
+        self.pair_masks[id] = masks;
+        classify_pairs(
             &self.hamiltonian,
             self.delta_min,
             &self.sys,
-            &self.crashed,
             &mut self.masses,
             id,
             pos,
+            masks,
             0x3f,
         );
     }
@@ -872,26 +891,38 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
             .expect("mass table holds only structurally valid moves");
         self.counts.moved += 1;
         // Revalidate exactly the pairs the occupancy change can touch;
-        // borrow the fields separately so the closure can mutate the table
+        // borrow the fields separately so the closure can mutate the tables
         // while reading the configuration.
         let sys = &self.sys;
         let masses = &mut self.masses;
+        let pair_masks = &mut self.pair_masks;
         let crashed = &self.crashed;
         let hamiltonian = &self.hamiltonian;
         let delta_min = self.delta_min;
         let mut fanout = 0u64;
-        sys.for_each_particle_near_move(from, dir, |qid, qpos, dmask| {
-            fanout += u64::from(dmask.count_ones());
-            refresh_masses(
-                hamiltonian,
-                delta_min,
-                sys,
-                crashed,
-                masses,
-                qid,
-                qpos,
-                dmask,
-            );
+        sys.for_each_particle_near_move(from, dir, |qid, qpos, entry| {
+            fanout += u64::from(entry.dirs.count_ones());
+            let masks = if qid == id {
+                // The mover's pairs all moved with it: gather them afresh.
+                moves::pair_masks_in_window25(sys.window25(qpos))
+            } else {
+                entry.patch(pair_masks[qid])
+            };
+            pair_masks[qid] = masks;
+            // A crashed particle's masks stay exact, but its classes stay
+            // CLASS_NONE.
+            if !crashed[qid] {
+                classify_pairs(
+                    hamiltonian,
+                    delta_min,
+                    sys,
+                    masses,
+                    qid,
+                    qpos,
+                    masks,
+                    entry.dirs,
+                );
+            }
         });
         self.probes.revalidation_fanout.record(fanout);
         if self.validate {
@@ -975,7 +1006,8 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
         points
     }
 
-    /// Checks internal invariants: configuration coherence and exact
+    /// Checks internal invariants: configuration coherence, stored pair
+    /// masks equal to a fresh window gather at every particle, and exact
     /// agreement of the incremental mass table with a from-scratch recount.
     ///
     /// # Panics
@@ -984,6 +1016,10 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
     pub fn assert_invariants(&self) {
         self.sys.assert_invariants();
         self.masses.assert_valid();
+        for (id, &masks) in self.pair_masks.iter().enumerate() {
+            let fresh = moves::pair_masks_in_window25(self.sys.window25(self.sys.position(id)));
+            assert_eq!(masks, fresh, "pair masks of particle {id} drifted");
+        }
         assert_eq!(
             self.mass_histogram(),
             self.recomputed_mass_histogram(),
@@ -1059,6 +1095,27 @@ mod tests {
         kmc.run(100_000);
         assert_eq!(kmc.mass_histogram(), kmc.recomputed_mass_histogram());
         kmc.assert_invariants();
+    }
+
+    /// Pair masks and the mass table stay exact at n = 10⁵, where the
+    /// class bitsets span many superblocks, with a crashed particle in the
+    /// way. Validation recounts all 6·10⁵ pairs after every accepted move,
+    /// so this runs in release: `cargo test --release -p sops_core --lib --
+    /// --ignored`.
+    #[test]
+    #[ignore = "n = 10⁵ with per-move validation: run in release"]
+    fn pair_masks_stay_exact_at_n_1e5() {
+        let sys = ParticleSystem::connected(shapes::spiral(100_000)).unwrap();
+        let mut kmc = KmcChain::from_seed(sys, 4.0, 20).unwrap();
+        kmc.set_validation(true);
+        kmc.run(1_000_000);
+        kmc.crash(99_999);
+        kmc.run(1_000_000);
+        kmc.assert_invariants();
+        assert!(
+            kmc.counts().moved > 200,
+            "too few moves to exercise the patches"
+        );
     }
 
     #[test]

@@ -1084,7 +1084,7 @@ mod tests {
         let mut r = runner(10, 4.0, 3);
         for _ in 0..5_000 {
             r.step();
-            if r.activations().is_multiple_of(500) {
+            if r.activations() % 500 == 0 {
                 r.assert_invariants();
                 assert!(r.tail_system().is_connected(), "tails disconnected");
             }

@@ -6,6 +6,7 @@ use rand::{Rng, SeedableRng};
 use sops_core::chain::{CompressionChain, StepOutcome};
 use sops_core::kmc::KmcChain;
 use sops_core::local::LocalRunner;
+use sops_core::Hamiltonian;
 use sops_lattice::Direction;
 use sops_system::{metrics, shapes, ParticleSystem};
 
@@ -85,6 +86,30 @@ fn outcome_string(outcome: StepOutcome) -> String {
         StepOutcome::PropertyViolated => "prop".into(),
         StepOutcome::MetropolisRejected => "metropolis".into(),
     }
+}
+
+/// Runs `kmc` with validation on for `split` steps, crashes two
+/// particles, runs `split` more, then continues both it and its restore for
+/// 2000 steps, which must end in the same state.
+fn pair_masks_survive<H: Hamiltonian>(
+    mut kmc: KmcChain<StdRng, H>,
+    seed: u64,
+    split: u64,
+) -> Result<(), TestCaseError> {
+    let n = kmc.system().len();
+    kmc.set_validation(true);
+    kmc.run(split);
+    kmc.crash(seed as usize % n);
+    kmc.crash((seed >> 32) as usize % n);
+    kmc.run(split);
+    let snap = kmc.snapshot();
+    let mut restored: KmcChain<StdRng, H> = KmcChain::restore(&snap).unwrap();
+    restored.assert_invariants();
+    kmc.run(2_000);
+    restored.run(2_000);
+    prop_assert_eq!(kmc.snapshot(), restored.snapshot());
+    restored.assert_invariants();
+    Ok(())
 }
 
 proptest! {
@@ -337,6 +362,26 @@ proptest! {
         prop_assert_eq!(full.steps(), resumed.steps());
         prop_assert_eq!(full.counts(), resumed.counts());
         prop_assert_eq!(full.system().positions(), resumed.system().positions());
+    }
+
+    /// The KMC sampler's stored pair masks, patched after every accepted
+    /// move, equal a fresh gather at every particle, through crashes and a
+    /// snapshot → restore, under the edge-count and `alignment:2`
+    /// Hamiltonians. Validation re-checks the masks and the mass table
+    /// after every accepted move, on both sides of the restore.
+    #[test]
+    fn kmc_pair_masks_survive_moves_crashes_and_restores(
+        start in arb_start(),
+        lambda_pct in 50u32..600,
+        seed in any::<u64>(),
+        split in 0u64..3000,
+    ) {
+        let lambda = lambda_pct as f64 / 100.0;
+        let kmc = KmcChain::from_seed(start.clone(), lambda, seed).unwrap();
+        pair_masks_survive(kmc, seed, split)?;
+        let sys = start.with_random_orientations(2, seed ^ 0xa11);
+        let kmc = KmcChain::from_seed_with(sys, lambda, seed, sops_core::Alignment::new(2)).unwrap();
+        pair_masks_survive(kmc, seed, split)?;
     }
 
     /// Every move the KMC sampler executes is structurally valid under the

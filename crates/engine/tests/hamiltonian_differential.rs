@@ -11,7 +11,8 @@
 //! against an inline legacy reimplementation lives in
 //! `crates/core/tests/proptests.rs`; this file pins the absolute bytes.
 
-use sops::core::{Alignment, CompressionChain, KmcChain, StepOutcome};
+use rand::rngs::StdRng;
+use sops::core::{Alignment, CompressionChain, Hamiltonian, KmcChain, StepOutcome};
 use sops::system::{metrics, shapes, ParticleSystem};
 use sops_engine::testkit::{fnv, tmp_dir};
 use sops_engine::{Algorithm, CrashSpec, EngineConfig, HamiltonianSpec, JobGrid, Shape};
@@ -201,6 +202,74 @@ fn multiblock_alignment_kmc_matches_recorded_bytes() {
         kmc.mass_histogram(),
         [0, 0, 84, 210, 192, 180, 56, 15, 2, 0, 0],
         "mass classes moved"
+    );
+}
+
+/// Runs `kmc` (a `spiral(500)` sampler at λ = 4) for 5·10⁵ steps: every
+/// tenth particle crashes at 1.25·10⁵, and at 2.5·10⁵ the chain is
+/// snapshotted and replaced by its restore. Returns the half-time and
+/// final snapshots and the final mass histogram, after checking that the
+/// restored chain ends where the uninterrupted one does.
+fn crash_restore_run<H: Hamiltonian>(mut kmc: KmcChain<StdRng, H>) -> (String, String, Vec<u64>) {
+    kmc.run(125_000);
+    for id in (0..kmc.system().len()).step_by(10) {
+        kmc.crash(id);
+    }
+    kmc.run(125_000);
+    let half = kmc.snapshot();
+    let mut restored: KmcChain<StdRng, H> = KmcChain::restore(&half).unwrap();
+    assert_eq!(restored.snapshot(), half, "restore must round-trip");
+    kmc.run(250_000);
+    restored.run(250_000);
+    let last = restored.snapshot();
+    assert_eq!(kmc.snapshot(), last, "restored chain diverged");
+    restored.assert_invariants();
+    (half, last, restored.mass_histogram())
+}
+
+/// Crashes and a mid-run snapshot → restore on a few thousand accepted
+/// moves, under both Hamiltonians, recorded before the mass table kept
+/// per-pair ring masks.
+#[test]
+fn kmc_with_crashes_and_restore_matches_recorded_bytes() {
+    let (n, lambda, seed) = (500, 4.0, 12);
+    let sys = ParticleSystem::connected(shapes::spiral(n)).unwrap();
+    let (half, last, hist) = crash_restore_run(KmcChain::from_seed(sys, lambda, seed).unwrap());
+    assert_eq!(
+        (half.len(), fnv(half.as_bytes())),
+        (3089, 0x31b515948000001e),
+        "half-time snapshot changed"
+    );
+    assert_eq!(
+        (last.len(), fnv(last.as_bytes())),
+        (3090, 0xa39bb23496d4e67d),
+        "final snapshot changed"
+    );
+    assert_eq!(
+        hist,
+        [0, 0, 32, 37, 22, 20, 10, 2, 1, 0, 0],
+        "mass classes moved"
+    );
+
+    let sys = ParticleSystem::connected(shapes::spiral(n))
+        .unwrap()
+        .with_random_orientations(2, seed ^ sops_engine::ORIENT_SALT);
+    let kmc = KmcChain::from_seed_with(sys, lambda, seed, Alignment { q: 2 }).unwrap();
+    let (half, last, hist) = crash_restore_run(kmc);
+    assert_eq!(
+        (half.len(), fnv(half.as_bytes())),
+        (4159, 0xaf5b9d236d3ddb4d),
+        "alignment half-time snapshot changed"
+    );
+    assert_eq!(
+        (last.len(), fnv(last.as_bytes())),
+        (4179, 0xf725824443534256),
+        "alignment final snapshot changed"
+    );
+    assert_eq!(
+        hist,
+        [0, 0, 54, 76, 68, 49, 24, 6, 1, 0, 0],
+        "alignment mass classes moved"
     );
 }
 

@@ -307,29 +307,30 @@ impl ParticleSystem {
 
     /// Calls `f` for every particle whose Algorithm-`M` acceptance
     /// probabilities a move `(from → from + dir)` can touch, with its id,
-    /// location, and the bitmask of move directions (bit `i` =
-    /// `Direction::from_index(i)`) whose acceptance actually reads one of
-    /// the two changed sites.
+    /// location, and its entry of [`crate::moves::revalidation_plan`]: the
+    /// move directions (bit `i` = `Direction::from_index(i)`) whose pair
+    /// mask actually reads one of the two changed sites, and the patch
+    /// ([`crate::moves::PlanEntry::patch`]) that updates those masks.
     ///
     /// This is the revalidation hook of the rejection-free sampler in
     /// `sops-core`: after the move is applied, exactly these `(particle,
     /// direction)` pairs (at most 24 sites, the union of the two radius-2
-    /// discs around `from` and `from + dir` — see
-    /// [`crate::moves::revalidation_plan`]) need their acceptance masses
+    /// discs around `from` and `from + dir`) need their acceptance masses
     /// recomputed; every other pair's mask is untouched by the occupancy
     /// change. Call it *after* mutating the configuration so the mover is
     /// visited at its new location (where all six of its directions are
-    /// planned).
+    /// planned, and where the patch does not apply: its masks moved with
+    /// it).
     pub fn for_each_particle_near_move(
         &self,
         from: TriPoint,
         dir: Direction,
-        mut f: impl FnMut(ParticleId, TriPoint, u8),
+        mut f: impl FnMut(ParticleId, TriPoint, &crate::moves::PlanEntry),
     ) {
-        for &((ox, oy), dmask) in crate::moves::revalidation_plan(dir) {
-            let p = TriPoint::new(from.x + ox, from.y + oy);
+        for entry in crate::moves::revalidation_plan(dir) {
+            let p = TriPoint::new(from.x + entry.offset.0, from.y + entry.offset.1);
             if let Some(id) = self.particle_at(p) {
-                f(id, p, dmask);
+                f(id, p, entry);
             }
         }
     }
@@ -339,9 +340,9 @@ impl ParticleSystem {
     ///
     /// One gather covers `p`'s whole radius-2 disc — every
     /// [`sops_lattice::PairRing`] of its six moves — so
-    /// [`crate::moves::check_move_in_window25`] can evaluate all six
-    /// directions from this single word. This is the bulk-revalidation
-    /// primitive of the rejection-free sampler in `sops-core`.
+    /// [`crate::moves::pair_masks_in_window25`] can evaluate all six
+    /// directions from this single word. The rejection-free sampler in
+    /// `sops-core` builds its per-particle pair masks from it.
     #[inline]
     #[must_use]
     pub fn window25(&self, p: TriPoint) -> u32 {

@@ -121,6 +121,14 @@ pub struct MoveValidity {
 }
 
 impl MoveValidity {
+    /// Evaluates the conditions from a nine-bit pair mask: the ring mask
+    /// plus the target bit ([`PAIR_TARGET_BIT`]).
+    #[inline]
+    #[must_use]
+    pub fn from_pair_mask(mask: u16) -> MoveValidity {
+        MoveValidity::from_mask(mask as u8, mask & PAIR_TARGET_BIT != 0)
+    }
+
     /// Evaluates the conditions from a ring occupancy mask.
     #[inline]
     #[must_use]
@@ -166,11 +174,19 @@ impl MoveValidity {
 /// of two adjacent radius-2 discs holds 24 sites).
 const REVAL_MAX: usize = 24;
 
+/// Bits per pair mask: the eight [`sops_lattice::PairRing`] sites (bits
+/// 0–7, [`MoveValidity::mask`] order) plus the target (bit 8).
+pub const PAIR_MASK_BITS: usize = 9;
+
+/// The target bit of a pair mask.
+pub const PAIR_TARGET_BIT: u16 = 1 << 8;
+
 /// The nine sites the acceptance probability of pair `(q, q + d)` reads,
-/// as offsets from `q`: the eight [`sops_lattice::PairRing`] sites plus the
-/// target `q + d` itself. Mirrors the ring geometry of
-/// `sops_lattice::PairRing::new` (cross-checked in this module's tests via
-/// the coverage test below).
+/// as offsets from `q`, in pair-mask bit order: the eight
+/// [`sops_lattice::PairRing`] sites plus the target `q + d` itself. The one
+/// definition of that order: the revalidation plan's patches and the
+/// window row tables are both derived from it (and this module's tests
+/// check it against `PairRing` and the grid's `check_move`).
 const fn dependency_offsets(d: Direction) -> [(i32, i32); 9] {
     let (dx, dy) = d.offset();
     [
@@ -186,37 +202,80 @@ const fn dependency_offsets(d: Direction) -> [(i32, i32); 9] {
     ]
 }
 
-/// One revalidation-plan entry: a site offset from `ℓ` plus the bitmask of
-/// directions whose pair at that site reads a changed site.
-pub type PlanEntry = ((i32, i32), u8);
+/// The nine-bit mask of `dir` in a site's six packed pair masks (direction
+/// `d` at bits `[9d, 9d + 9)`, as [`pair_masks_in_window25`] packs them).
+#[inline]
+#[must_use]
+pub fn pair_mask(masks: u64, dir: Direction) -> u16 {
+    (masks >> (PAIR_MASK_BITS * dir.index())) as u16 & 0x1ff
+}
+
+/// One revalidation-plan entry: a site near the move and the changes the
+/// move makes to the pair masks of a particle there.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct PlanEntry {
+    /// The site, as an offset from `ℓ`.
+    pub offset: (i32, i32),
+    /// The directions (bit `i` = `Direction::from_index(i)`) whose pair at
+    /// this site reads `ℓ` or `ℓ′`: exactly those with a non-empty patch.
+    pub dirs: u8,
+    /// Packed pair-mask bits (layout of [`pair_masks_in_window25`]) that
+    /// fall on `ℓ`, which the move empties.
+    pub clear: u64,
+    /// Packed pair-mask bits that fall on `ℓ′`, which the move fills.
+    pub set: u64,
+}
+
+impl PlanEntry {
+    /// The packed pair masks of a particle at this entry's site after the
+    /// move, from those before it.
+    #[inline]
+    #[must_use]
+    pub fn patch(&self, masks: u64) -> u64 {
+        (masks & !self.clear) | self.set
+    }
+}
 
 const fn reval_plan(mv: Direction) -> ([PlanEntry; REVAL_MAX], usize) {
     let (mx, my) = mv.offset();
-    let mut out = [((0i32, 0i32), 0u8); REVAL_MAX];
+    let empty = PlanEntry {
+        offset: (0, 0),
+        dirs: 0,
+        clear: 0,
+        set: 0,
+    };
+    let mut out = [empty; REVAL_MAX];
     let mut len = 0usize;
     let mut oy = -3i32;
     while oy <= 3 {
         let mut ox = -3i32;
         while ox <= 3 {
-            // Directions whose dependency set, anchored at this offset,
-            // contains ℓ = (0, 0) or ℓ′ = (mx, my).
-            let mut dmask = 0u8;
+            // The pair-mask bits, anchored at this offset, that fall on
+            // ℓ = (0, 0) or ℓ′ = (mx, my).
+            let mut entry = PlanEntry {
+                offset: (ox, oy),
+                ..empty
+            };
             let mut di = 0;
             while di < 6 {
                 let deps = dependency_offsets(Direction::ALL[di]);
                 let mut k = 0;
                 while k < 9 {
                     let (sx, sy) = (ox + deps[k].0, oy + deps[k].1);
-                    if (sx == 0 && sy == 0) || (sx == mx && sy == my) {
-                        dmask |= 1 << di;
-                        break;
+                    let bit = 1u64 << (PAIR_MASK_BITS * di + k);
+                    if sx == 0 && sy == 0 {
+                        entry.clear |= bit;
+                        entry.dirs |= 1 << di;
+                    } else if sx == mx && sy == my {
+                        entry.set |= bit;
+                        entry.dirs |= 1 << di;
                     }
                     k += 1;
                 }
                 di += 1;
             }
-            if dmask != 0 {
-                out[len] = ((ox, oy), dmask);
+            if entry.dirs != 0 {
+                out[len] = entry;
                 len += 1;
             }
             ox += 1;
@@ -237,85 +296,82 @@ static REVALIDATION_PLANS: [([PlanEntry; REVAL_MAX], usize); 6] = [
 
 /// The revalidation plan of a move from `ℓ` to `ℓ′ = ℓ + dir`: the sites
 /// (as offsets from `ℓ`) whose particles' Algorithm-`M` acceptance
-/// probabilities the move can change, each with the bitmask (bit `i` =
-/// `Direction::from_index(i)`) of the directions whose pair actually reads
-/// one of the two changed sites.
+/// probabilities the move can change, each with the directions whose pair
+/// actually reads one of the two changed sites and the patch that brings
+/// those pairs' masks up to date.
 ///
 /// A pair `(P, d)` with `P` at `q` is accepted with probability
 /// `min(1, λ^(e′−e))` gated by the five-neighbor rule and Properties 1/2 —
-/// all functions of the occupancy of the [`sops_lattice::PairRing`] around
-/// `(q, q + d)` plus the target `q + d`, every site of which lies within
-/// graph distance 2 of `q`. A move changes occupancy only at `ℓ` and `ℓ′`,
-/// so `(P, d)` can change only if its dependency set touches one of them:
-/// the 24 offsets of this plan (the union of the two radius-2 discs,
-/// including `ℓ` and `ℓ′` themselves), restricted per site to the touching
-/// directions. This is the revalidation hook the rejection-free sampler in
-/// `sops-core` uses to keep its acceptance-mass table incremental.
+/// all functions of its nine-bit pair mask (the occupancy of the
+/// [`sops_lattice::PairRing`] around `(q, q + d)` plus the target `q + d`),
+/// every site of which lies within graph distance 2 of `q`. A move changes
+/// occupancy only at `ℓ` and `ℓ′`, so `(P, d)` can change only if its
+/// dependency set touches one of them: the 24 offsets of this plan (the
+/// union of the two radius-2 discs, including `ℓ` and `ℓ′` themselves),
+/// restricted per site to the touching directions.
+///
+/// For a particle that did not move, the touching bits are known in
+/// advance: `ℓ` is now empty and `ℓ′` now occupied, so
+/// [`PlanEntry::patch`] turns its pair masks before the move into those
+/// after it with one clear and one set, without reading the grid. The
+/// entry at `ℓ′` is the mover itself, whose masks all moved with it (every
+/// one of its six pairs is planned there); it has to gather them afresh.
+/// This is the revalidation hook the rejection-free sampler in `sops-core`
+/// uses to keep its pair masks and acceptance-mass table incremental.
 #[must_use]
 pub fn revalidation_plan(dir: Direction) -> &'static [PlanEntry] {
     let (ref plan, len) = REVALIDATION_PLANS[dir.index()];
     &plan[..len]
 }
 
-/// The sites of [`revalidation_plan`] without the direction masks.
+/// The sites of [`revalidation_plan`] without their directions and patches.
 pub fn revalidation_offsets(dir: Direction) -> impl Iterator<Item = (i32, i32)> {
-    revalidation_plan(dir).iter().map(|&(offset, _)| offset)
+    revalidation_plan(dir).iter().map(|entry| entry.offset)
 }
 
-/// Bit positions inside a center-anchored 5×5 window
-/// ([`crate::ParticleSystem::window25`]) of the eight
-/// [`sops_lattice::PairRing`] sites plus the move target, per direction.
-/// Every ring site lies within graph distance 2 of the center, so the
-/// whole set fits the window.
-static RING25_POSITIONS: [([u8; 8], u8); 6] = [
-    ring25_positions(Direction::E),
-    ring25_positions(Direction::NE),
-    ring25_positions(Direction::NW),
-    ring25_positions(Direction::W),
-    ring25_positions(Direction::SW),
-    ring25_positions(Direction::SE),
-];
-
-const fn ring25_positions(dir: Direction) -> ([u8; 8], u8) {
-    let deps = dependency_offsets(dir);
-    let mut ring = [0u8; 8];
-    let mut i = 0;
-    while i < 8 {
-        let (ox, oy) = deps[i];
-        ring[i] = ((oy + 2) * 5 + (ox + 2)) as u8;
-        i += 1;
+/// `WINDOW25_ROW_MASKS[r][bits]`: the packed pair-mask bits of a 5×5
+/// window's center that row `r` of the window contributes when its five
+/// sites hold `bits`. Every site a center pair reads lies within graph
+/// distance 2, so inside the window, and each pair-mask bit is one window
+/// bit: the six masks are the OR of five row lookups.
+static WINDOW25_ROW_MASKS: [[u64; 32]; 5] = {
+    let mut table = [[0u64; 32]; 5];
+    let mut di = 0;
+    while di < 6 {
+        let deps = dependency_offsets(Direction::ALL[di]);
+        let mut k = 0;
+        while k < 9 {
+            let (row, col) = ((deps[k].1 + 2) as usize, (deps[k].0 + 2) as usize);
+            let mut bits = 0;
+            while bits < 32 {
+                if bits >> col & 1 != 0 {
+                    table[row][bits] |= 1 << (PAIR_MASK_BITS * di + k);
+                }
+                bits += 1;
+            }
+            k += 1;
+        }
+        di += 1;
     }
-    let (tx, ty) = deps[8];
-    (ring, ((ty + 2) * 5 + (tx + 2)) as u8)
-}
-
-/// The six neighbor bits of the center of a 5×5 window (bit 12).
-pub const WINDOW25_NEIGHBORS: u32 = {
-    let mut mask = 0u32;
-    let mut i = 0;
-    while i < 6 {
-        let (dx, dy) = Direction::ALL[i].offset();
-        mask |= 1 << ((dy + 2) * 5 + (dx + 2));
-        i += 1;
-    }
-    mask
+    table
 };
 
-/// Evaluates the move conditions for the center particle of a 5×5 occupancy
-/// window ([`crate::ParticleSystem::window25`]) moving in `dir`, without
-/// touching the grid again: one window gather answers all six directions.
+/// The six pair masks of the center of a 5×5 occupancy window
+/// ([`crate::ParticleSystem::window25`]), packed with direction `d` at bits
+/// `[9d, 9d + 9)`: one gather and five table lookups answer every move of
+/// one particle. [`pair_mask`] extracts one direction, and
+/// [`MoveValidity::from_pair_mask`] evaluates it.
 ///
 /// Equivalent to [`crate::ParticleSystem::check_move`] at the window's
-/// center (verified exhaustively in this module's tests).
+/// center in every direction (verified in this module's tests).
 #[inline]
 #[must_use]
-pub fn check_move_in_window25(window: u32, dir: Direction) -> MoveValidity {
-    let (ring, target) = RING25_POSITIONS[dir.index()];
-    let mut mask = 0u8;
-    for (i, &pos) in ring.iter().enumerate() {
-        mask |= ((window >> pos & 1) as u8) << i;
+pub fn pair_masks_in_window25(window: u32) -> u64 {
+    let mut masks = 0;
+    for (r, row) in WINDOW25_ROW_MASKS.iter().enumerate() {
+        masks |= row[(window >> (5 * r) & 31) as usize];
     }
-    MoveValidity::from_mask(mask, window >> target & 1 != 0)
+    masks
 }
 
 /// First-principles implementations of the paper's definitions, used to
@@ -535,13 +591,13 @@ mod tests {
             for x in -5..=5 {
                 for y in -5..=5 {
                     let q = TriPoint::new(x, y);
-                    let entry = plan.iter().find(|&&(o, _)| o == (x, y));
+                    let entry = plan.iter().find(|e| e.offset == (x, y));
                     for d in Direction::ALL {
                         let ring = PairRing::new(q, d);
                         let depends = q + d == l
                             || q + d == lp
                             || (0..8).any(|i| ring.site(i) == l || ring.site(i) == lp);
-                        let planned = entry.is_some_and(|&(_, dmask)| dmask >> d.index() & 1 != 0);
+                        let planned = entry.is_some_and(|e| e.dirs >> d.index() & 1 != 0);
                         assert_eq!(
                             depends, planned,
                             "move {mv}: pair ({q}, {d}) dependency mismatch"
@@ -556,41 +612,123 @@ mod tests {
     }
 
     #[test]
-    fn window25_check_move_matches_grid_check_move() {
-        use crate::ParticleSystem;
+    fn plan_patches_are_the_pair_mask_bits_on_the_two_changed_sites() {
+        // Brute force over all 6 × 6 (move, pair) directions: scanning the
+        // PairRing sites (bits 0–7) and the target (bit 8) of every planned
+        // pair, the bits on ℓ must be exactly `clear` and those on ℓ′
+        // exactly `set`, and `dirs` the directions with a non-empty patch.
+        let l = TriPoint::ORIGIN;
+        for mv in Direction::ALL {
+            let lp = l + mv;
+            for entry in revalidation_plan(mv) {
+                let q = TriPoint::new(entry.offset.0, entry.offset.1);
+                let mut dirs = 0u8;
+                for d in Direction::ALL {
+                    let ring = PairRing::new(q, d);
+                    let site = |i: usize| if i == 8 { q + d } else { ring.site(i) };
+                    let bits_on = |p: TriPoint| -> u16 {
+                        (0..9).filter(|&i| site(i) == p).map(|i| 1 << i).sum()
+                    };
+                    let (clear, set) = (bits_on(l), bits_on(lp));
+                    assert_eq!(pair_mask(entry.clear, d), clear, "move {mv}, ({q}, {d})");
+                    assert_eq!(pair_mask(entry.set, d), set, "move {mv}, ({q}, {d})");
+                    assert!(clear.count_ones() <= 1 && set.count_ones() <= 1);
+                    if clear | set != 0 {
+                        dirs |= 1 << d.index();
+                    }
+                }
+                assert_eq!(entry.dirs, dirs, "move {mv}, site {q}");
+                // No bit outside the 54 packed ones.
+                assert_eq!((entry.clear | entry.set) >> 54, 0);
+            }
+        }
+    }
 
-        // Random configurations: the single-gather evaluation must agree
-        // with the grid-backed check_move at every particle and direction.
-        let mut state = 5u64;
+    /// Connected random configurations of `n` particles from an LCG seed.
+    fn random_points(seed: u64, n: usize) -> Vec<TriPoint> {
+        let mut state = seed;
         let mut next = || {
             state = state
                 .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(1);
             state >> 33
         };
-        for _ in 0..40 {
-            let mut points = vec![TriPoint::ORIGIN];
-            while points.len() < 30 {
-                let base = points[next() as usize % points.len()];
-                let p = base + Direction::ALL[next() as usize % 6];
-                if !points.contains(&p) {
-                    points.push(p);
-                }
+        let mut points = vec![TriPoint::ORIGIN];
+        while points.len() < n {
+            let base = points[next() as usize % points.len()];
+            let p = base + Direction::ALL[next() as usize % 6];
+            if !points.contains(&p) {
+                points.push(p);
             }
+        }
+        points
+    }
+
+    #[test]
+    fn window25_check_move_matches_grid_check_move() {
+        use crate::ParticleSystem;
+
+        // Random configurations: the single-gather evaluation must agree
+        // with the grid-backed check_move at every particle and direction.
+        for trial in 0..40 {
+            let points = random_points(5 + trial, 30);
             let sys = ParticleSystem::new(points.clone()).unwrap();
             for &p in &points {
-                let w = sys.window25(p);
-                assert_eq!(
-                    (w & WINDOW25_NEIGHBORS).count_ones() as u8,
-                    sys.neighbor_count(p),
-                    "neighbor count at {p}"
-                );
+                let masks = pair_masks_in_window25(sys.window25(p));
+                assert_eq!(masks >> 54, 0, "stray bits at {p}");
                 for dir in Direction::ALL {
+                    let v = MoveValidity::from_pair_mask(pair_mask(masks, dir));
+                    assert_eq!(v, sys.check_move(p, dir), "{p} {dir}");
+                    // Ring sites 0..=4 and the target are the six neighbors.
                     assert_eq!(
-                        check_move_in_window25(w, dir),
-                        sys.check_move(p, dir),
-                        "{p} {dir}"
+                        v.e_from + u8::from(v.target_occupied),
+                        sys.neighbor_count(p),
+                        "neighbor count at {p}"
                     );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn patched_masks_match_a_fresh_gather_after_any_move() {
+        use crate::ParticleSystem;
+
+        // Every particle and every empty target of random configurations:
+        // after the move, each planned particle other than the mover holds
+        // its old masks patched, and every unplanned particle its old
+        // masks unchanged.
+        for trial in 0..12 {
+            let points = random_points(77 + trial, 25);
+            let sys = ParticleSystem::new(points.clone()).unwrap();
+            let before: Vec<u64> = points
+                .iter()
+                .map(|&p| pair_masks_in_window25(sys.window25(p)))
+                .collect();
+            for id in 0..points.len() {
+                for dir in Direction::ALL {
+                    let from = sys.position(id);
+                    if sys.is_occupied(from + dir) {
+                        continue;
+                    }
+                    let mut after = sys.clone();
+                    after.move_particle(id, dir).unwrap();
+                    let mut expected = before.clone();
+                    expected[id] = pair_masks_in_window25(after.window25(from + dir));
+                    let mut seen_mover = false;
+                    after.for_each_particle_near_move(from, dir, |qid, _, entry| {
+                        if qid == id {
+                            seen_mover = true;
+                            assert_eq!(entry.dirs, 0x3f);
+                        } else {
+                            expected[qid] = entry.patch(before[qid]);
+                        }
+                    });
+                    assert!(seen_mover, "the mover is planned at ℓ′");
+                    for (qid, &masks) in expected.iter().enumerate() {
+                        let fresh = pair_masks_in_window25(after.window25(after.position(qid)));
+                        assert_eq!(masks, fresh, "move ({id}, {dir}): particle {qid}");
+                    }
                 }
             }
         }

@@ -20,18 +20,22 @@
 //! `Δ = H(σ′) − H(σ)`, and converging to `π(σ) ∝ λ^{H(σ)}` (the structural
 //! move conditions — and hence Lemmas 3.1/3.2 — do not depend on `H`). The
 //! default [`EdgeCount`] instance *is* the paper's chain, bit for bit.
+//!
+//! [`CompressionChain`] is the shared [`Sampler`] (state, construction,
+//! crashes, measurement, snapshots) over the [`Metropolis`] kernel, which
+//! adds only [`CompressionChain::step`] and the [`StepCounts`].
 
 use core::fmt;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use sops_lattice::Direction;
-use sops_system::{metrics, ParticleSystem, SystemError};
+use sops_system::{ParticleSystem, SystemError};
 
 use crate::hamiltonian::{EdgeCount, Hamiltonian, MoveContext};
-use crate::measure::HoleTracker;
 use crate::probes::ChainProbes;
-use crate::snapshot::{self, SnapshotError};
+use crate::sampler::{Acceptance, Kernel, Sampler};
+use crate::snapshot::{Fields, SnapshotError};
 
 /// Errors from constructing a [`CompressionChain`].
 #[derive(Clone, Debug, PartialEq)]
@@ -169,147 +173,69 @@ pub struct TrajectoryPoint {
     pub beta: f64,
 }
 
-/// The Markov chain `M`, biased by `λ` toward configurations with higher
-/// Hamiltonian energy (more edges, under the default [`EdgeCount`]).
-///
-/// Generic over the random source and the [`Hamiltonian`]; the
-/// [`CompressionChain::from_seed`] convenience constructor uses a seeded
-/// [`StdRng`] for exact reproducibility, and
-/// [`CompressionChain::with_hamiltonian`] selects a non-default energy.
-#[derive(Clone, Debug)]
-pub struct CompressionChain<R: Rng = StdRng, H: Hamiltonian = EdgeCount> {
-    sys: ParticleSystem,
-    lambda: f64,
-    hamiltonian: H,
-    /// `bias[i]` = `λ^(delta_min + i)` for deltas in
-    /// `[delta_min, delta_max]` (the `λ^Δ` of the Metropolis filter).
-    bias: Vec<f64>,
-    /// Cached `hamiltonian.delta_min()` — the index offset into `bias`.
-    delta_min: i32,
-    rng: R,
-    steps: u64,
+/// The chain's kernel: `M` taken literally, one step at a time, with
+/// per-category rejection counts.
+#[derive(Clone, Debug, Default)]
+pub struct Metropolis {
     counts: StepCounts,
     /// Telemetry side channel: never serialized, never read by the
     /// algorithm (see [`crate::probes`] for the determinism contract).
     probes: ChainProbes,
-    /// Hole-free latch + reusable trace scratch (shared implementation
-    /// with the KMC sampler; scratch is transient, not part of snapshots).
-    measure: HoleTracker,
-    crashed: Vec<bool>,
-    crashed_count: usize,
-    validate: bool,
 }
 
-impl CompressionChain<StdRng> {
-    /// Builds an edge-count chain with a [`StdRng`] seeded from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompressionChain::new`].
-    pub fn from_seed(
-        sys: ParticleSystem,
-        lambda: f64,
-        seed: u64,
-    ) -> Result<CompressionChain<StdRng>, ChainError> {
-        CompressionChain::new(sys, lambda, StdRng::seed_from_u64(seed))
-    }
-}
+/// The Markov chain `M`, run step by step: a [`Sampler`] over the
+/// [`Metropolis`] kernel.
+///
+/// # Example
+///
+/// ```
+/// use sops_core::chain::CompressionChain;
+/// use sops_system::{shapes, ParticleSystem};
+///
+/// let start = ParticleSystem::connected(shapes::line(20)).unwrap();
+/// let mut chain = CompressionChain::from_seed(start, 4.0, 1).unwrap();
+/// chain.run(1_000);
+/// assert_eq!(chain.counts().total(), 1_000);
+/// ```
+pub type CompressionChain<R = StdRng, H = EdgeCount> = Sampler<Metropolis, R, H>;
 
-impl<H: Hamiltonian> CompressionChain<StdRng, H> {
-    /// Builds a chain over `hamiltonian` with a [`StdRng`] seeded from
-    /// `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`CompressionChain::with_hamiltonian`].
-    pub fn from_seed_with(
-        sys: ParticleSystem,
-        lambda: f64,
-        seed: u64,
-        hamiltonian: H,
-    ) -> Result<CompressionChain<StdRng, H>, ChainError> {
-        CompressionChain::with_hamiltonian(sys, lambda, StdRng::seed_from_u64(seed), hamiltonian)
+impl Kernel for Metropolis {
+    const HEADER: &'static str = "sops-chain-snapshot v1";
+    type Counts = StepCounts;
+    type Probes = ChainProbes;
+
+    fn new<H: Hamiltonian>(_: &ParticleSystem, _: &H, _: &Acceptance) -> Metropolis {
+        Metropolis::default()
     }
 
-    /// Serializes the full chain state — configuration, λ, counters, crash
-    /// set and exact RNG state — as a compact text snapshot.
-    ///
-    /// [`CompressionChain::restore`] rebuilds a chain whose continued
-    /// trajectory is bitwise identical to running this one uninterrupted;
-    /// see [`crate::snapshot`] for the format and guarantees. The
-    /// `hamiltonian` and `orientations` lines appear only for non-default
-    /// Hamiltonians / oriented configurations, keeping default snapshots
-    /// byte-identical to the pre-trait format.
-    #[must_use]
-    pub fn snapshot(&self) -> String {
-        use core::fmt::Write as _;
+    fn run<R: Rng, H: Hamiltonian>(chain: &mut CompressionChain<R, H>, steps: u64) -> u64 {
+        let before = chain.kernel.counts.moved;
+        for _ in 0..steps {
+            chain.step();
+        }
+        chain.kernel.counts.moved - before
+    }
+
+    fn counts(&self) -> StepCounts {
+        self.counts
+    }
+
+    fn probes(&self) -> &ChainProbes {
+        &self.probes
+    }
+
+    fn encode(&self, out: &mut String) {
         let c = self.counts;
-        let crashed: Vec<String> = self
-            .crashed
-            .iter()
-            .enumerate()
-            .filter(|(_, &dead)| dead)
-            .map(|(id, _)| id.to_string())
-            .collect();
-        let mut s = String::from("sops-chain-snapshot v1\n");
-        let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.lambda));
-        let name = self.hamiltonian.name();
-        if name != "edges" {
-            let _ = writeln!(s, "hamiltonian={name}");
-        }
-        let _ = writeln!(s, "steps={}", self.steps);
-        let _ = writeln!(
-            s,
-            "counts={},{},{},{},{},{}",
+        out.push_str(&format!(
+            "counts={},{},{},{},{},{}\n",
             c.moved, c.target_occupied, c.crashed, c.five_neighbor, c.property, c.metropolis
-        );
-        let _ = writeln!(s, "hole_free={}", u8::from(self.measure.latched()));
-        let _ = writeln!(s, "validate={}", u8::from(self.validate));
-        let _ = writeln!(s, "crashed={}", crashed.join(","));
-        let _ = writeln!(s, "rng={}", snapshot::rng_to_string(&self.rng));
-        let _ = writeln!(
-            s,
-            "positions={}",
-            snapshot::points_to_string(self.sys.positions().iter().copied())
-        );
-        if let Some(orientations) = self.sys.orientations() {
-            let _ = writeln!(s, "orientations={}", snapshot::u8s_to_string(orientations));
-        }
-        s
+        ));
     }
 
-    /// Rebuilds a chain from a [`CompressionChain::snapshot`] text.
-    ///
-    /// The snapshot's `hamiltonian` line (default: `edges`) must describe
-    /// an instance of `H` — restoring a snapshot under the wrong
-    /// Hamiltonian type is rejected rather than silently reinterpreted.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when the text is malformed or describes an invalid
-    /// state (duplicate positions, disconnected configuration, out-of-range
-    /// crash ids, bad λ, a Hamiltonian `H` cannot parse).
-    pub fn restore(text: &str) -> Result<CompressionChain<StdRng, H>, SnapshotError> {
-        let fields = snapshot::Fields::parse(text, "sops-chain-snapshot v1")?;
-        let positions = snapshot::points_from_string("positions", fields.get("positions")?)?;
-        let mut sys = ParticleSystem::connected(positions)
-            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        sys = snapshot::attach_orientations(sys, &fields)?;
-        let hamiltonian = snapshot::hamiltonian_from_fields::<H>(&fields)?;
-        let lambda = fields.parse_f64_bits("lambda")?;
-        let rng = snapshot::rng_from_string("rng", fields.get("rng")?)?;
-        let mut chain = CompressionChain::with_hamiltonian(sys, lambda, rng, hamiltonian)
-            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        chain.steps = fields.parse_num("steps")?;
-        let counts: Vec<u64> = fields.parse_list("counts")?;
-        let [moved, target_occupied, crashed, five_neighbor, property, metropolis] = counts[..]
-        else {
-            return Err(SnapshotError::BadField {
-                field: "counts",
-                value: fields.get("counts")?.to_string(),
-            });
-        };
-        chain.counts = StepCounts {
+    fn decode(&mut self, fields: &Fields<'_>, _steps: u64) -> Result<(), SnapshotError> {
+        let [moved, target_occupied, crashed, five_neighbor, property, metropolis] =
+            fields.parse_array("counts")?;
+        self.counts = StepCounts {
             moved,
             target_occupied,
             crashed,
@@ -317,193 +243,11 @@ impl<H: Hamiltonian> CompressionChain<StdRng, H> {
             property,
             metropolis,
         };
-        // The hole-free flag is lazily monotone; restoring the stored value
-        // (rather than recomputing) preserves the exact observable behavior.
-        chain
-            .measure
-            .set_latched(fields.parse_num::<u8>("hole_free")? != 0);
-        chain.validate = fields.parse_num::<u8>("validate")? != 0;
-        for id in fields.parse_list::<usize>("crashed")? {
-            if id >= chain.crashed.len() {
-                return Err(SnapshotError::Invalid(format!(
-                    "crashed id {id} out of range for {} particles",
-                    chain.crashed.len()
-                )));
-            }
-            chain.crash(id);
-        }
-        Ok(chain)
-    }
-}
-
-impl<R: Rng> CompressionChain<R> {
-    /// Builds the paper's edge-count chain from a connected starting
-    /// configuration `σ₀` and bias `λ`.
-    ///
-    /// `λ > 1` biases particles toward having more neighbors; the paper's
-    /// main results require `λ > 2 + √2` for compression and show
-    /// `0 < λ < 2.17` yields expansion instead. Any finite positive `λ` is
-    /// accepted.
-    ///
-    /// # Errors
-    ///
-    /// [`ChainError::InvalidLambda`] for non-finite or non-positive `λ`,
-    /// [`ChainError::NotConnected`] for a disconnected start.
-    pub fn new(
-        sys: ParticleSystem,
-        lambda: f64,
-        rng: R,
-    ) -> Result<CompressionChain<R>, ChainError> {
-        CompressionChain::with_hamiltonian(sys, lambda, rng, EdgeCount)
+        Ok(())
     }
 }
 
 impl<R: Rng, H: Hamiltonian> CompressionChain<R, H> {
-    /// Builds the chain over an explicit [`Hamiltonian`]: the Metropolis
-    /// filter accepts with `min(1, λ^Δ)` for `Δ = H(σ′) − H(σ)`, so the
-    /// stationary distribution becomes `π(σ) ∝ λ^{H(σ)}` over the same
-    /// hole-free connected state space.
-    ///
-    /// # Errors
-    ///
-    /// [`ChainError::InvalidLambda`] for non-finite or non-positive `λ`,
-    /// [`ChainError::NotConnected`] for a disconnected start, and
-    /// [`ChainError::Hamiltonian`] when the Hamiltonian rejects the
-    /// configuration (e.g. [`crate::hamiltonian::Alignment`] without
-    /// orientations) or declares an unusable delta range.
-    pub fn with_hamiltonian(
-        sys: ParticleSystem,
-        lambda: f64,
-        rng: R,
-        hamiltonian: H,
-    ) -> Result<CompressionChain<R, H>, ChainError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(ChainError::InvalidLambda(lambda));
-        }
-        if !sys.is_connected() {
-            return Err(ChainError::NotConnected);
-        }
-        hamiltonian
-            .validate(&sys)
-            .map_err(ChainError::Hamiltonian)?;
-        let (delta_min, delta_max) = (hamiltonian.delta_min(), hamiltonian.delta_max());
-        if delta_min > delta_max || delta_max.saturating_sub(delta_min) > 254 {
-            return Err(ChainError::Hamiltonian(format!(
-                "unusable delta range [{delta_min}, {delta_max}]"
-            )));
-        }
-        let bias: Vec<f64> = (delta_min..=delta_max).map(|d| lambda.powi(d)).collect();
-        let hole_free = sys.hole_count() == 0;
-        let n = sys.len();
-        Ok(CompressionChain {
-            sys,
-            lambda,
-            hamiltonian,
-            bias,
-            delta_min,
-            rng,
-            steps: 0,
-            counts: StepCounts::default(),
-            probes: ChainProbes::default(),
-            measure: HoleTracker::new(hole_free),
-            crashed: vec![false; n],
-            crashed_count: 0,
-            validate: false,
-        })
-    }
-
-    /// The bias parameter `λ`.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The Hamiltonian driving the Metropolis filter.
-    #[must_use]
-    pub fn hamiltonian(&self) -> &H {
-        &self.hamiltonian
-    }
-
-    /// The current configuration.
-    #[must_use]
-    pub fn system(&self) -> &ParticleSystem {
-        &self.sys
-    }
-
-    /// Consumes the chain and returns the final configuration.
-    #[must_use]
-    pub fn into_system(self) -> ParticleSystem {
-        self.sys
-    }
-
-    /// Number of steps executed so far.
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Outcome counts since construction.
-    #[must_use]
-    pub fn counts(&self) -> StepCounts {
-        self.counts
-    }
-
-    /// Telemetry probes accumulated since construction (or since the last
-    /// restore — probes are not part of snapshots).
-    #[must_use]
-    pub fn probes(&self) -> &ChainProbes {
-        &self.probes
-    }
-
-    /// Enables per-move invariant validation (connectivity and
-    /// hole-freeness re-checked after every accepted move). Expensive;
-    /// intended for tests and the invariant experiment (E9).
-    pub fn set_validation(&mut self, enabled: bool) {
-        self.validate = enabled;
-    }
-
-    /// Marks a particle as crashed: it stays in place forever and acts as a
-    /// fixed obstacle (Section 3.3). Returns the previous crash state.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn crash(&mut self, id: usize) -> bool {
-        let was = self.crashed[id];
-        if !was {
-            self.crashed[id] = true;
-            self.crashed_count += 1;
-        }
-        was
-    }
-
-    /// Number of crashed particles.
-    #[must_use]
-    pub fn crashed_count(&self) -> usize {
-        self.crashed_count
-    }
-
-    /// `true` once the configuration is hole-free; monotone by Lemma 3.2.
-    ///
-    /// Lazily recomputed while holes remain, via an allocation-free
-    /// boundary trace over reused scratch (the chain keeps the
-    /// configuration connected — Lemma 3.1 — which the tracer requires).
-    pub fn is_hole_free(&mut self) -> bool {
-        self.measure.is_hole_free(&self.sys)
-    }
-
-    /// The current perimeter `p(σ)`.
-    ///
-    /// O(1) once the chain has reached the hole-free space `Ω*`; before
-    /// that, one scratch-backed boundary trace serves both the monotone
-    /// hole-free latch and the hole count of the perimeter formula (the
-    /// latch and the measurement used to flood-fill separately, tracing the
-    /// boundary twice per pre-latch check).
-    #[must_use = "perimeter is a measurement; ignoring it wastes a flood fill"]
-    pub fn perimeter(&mut self) -> u64 {
-        self.measure.perimeter(&self.sys)
-    }
-
     /// Executes one step of `M` (Algorithm `M`, Steps 1–8).
     pub fn step(&mut self) -> StepOutcome {
         self.steps += 1;
@@ -514,7 +258,7 @@ impl<R: Rng, H: Hamiltonian> CompressionChain<R, H> {
         // (q is drawn lazily below; the acceptance law is identical.)
         let dir = Direction::ALL[self.rng.gen_range(0..6usize)];
         let outcome = self.try_move(id, dir);
-        self.counts.record(outcome);
+        self.kernel.counts.record(outcome);
         outcome
     }
 
@@ -545,11 +289,7 @@ impl<R: Rng, H: Hamiltonian> CompressionChain<R, H> {
             validity,
         };
         let delta = self.hamiltonian.delta(&ctx);
-        debug_assert!(
-            (0..self.bias.len() as i32).contains(&(delta - self.delta_min)),
-            "hamiltonian delta {delta} violates its declared range"
-        );
-        let threshold = self.bias[(delta - self.delta_min) as usize];
+        let threshold = self.acceptance.weight(delta);
         if threshold < 1.0 {
             let q: f64 = self.rng.gen();
             if q >= threshold {
@@ -559,79 +299,19 @@ impl<R: Rng, H: Hamiltonian> CompressionChain<R, H> {
         self.sys
             .move_particle(id, dir)
             .expect("validated move must apply");
-        if self.validate {
-            assert!(self.sys.is_connected(), "Lemma 3.1 violated: disconnected");
-            if self.measure.latched() {
-                assert_eq!(self.sys.hole_count(), 0, "Lemma 3.2 violated: hole");
-            }
-        }
-        self.probes
+        self.check_lemmas();
+        self.kernel
+            .probes
             .accepted_delta
-            .record((delta - self.delta_min) as u64);
+            .record(self.acceptance.class(delta) as u64);
         StepOutcome::Moved { id, dir, delta }
-    }
-
-    /// Runs `steps` steps and returns the number of accepted moves.
-    pub fn run(&mut self, steps: u64) -> u64 {
-        let before = self.counts.moved;
-        for _ in 0..steps {
-            self.step();
-        }
-        self.counts.moved - before
-    }
-
-    /// Runs until the configuration is α-compressed (`p ≤ α · pmin`) or
-    /// `max_steps` elapse; returns the step count at first hit.
-    ///
-    /// Checks the perimeter every `n` steps (one expected activation per
-    /// particle).
-    pub fn run_until_compressed(&mut self, alpha: f64, max_steps: u64) -> Option<u64> {
-        let n = self.sys.len() as u64;
-        let target = alpha * metrics::pmin(self.sys.len()) as f64;
-        let check_every = n.max(1);
-        let start = self.steps;
-        loop {
-            if self.perimeter() as f64 <= target {
-                return Some(self.steps);
-            }
-            if self.steps - start >= max_steps {
-                return None;
-            }
-            for _ in 0..check_every {
-                self.step();
-            }
-        }
-    }
-
-    /// Samples the current trajectory point (perimeter, edges, ratios).
-    ///
-    /// Allocation-free in the steady state: the hole count comes from the
-    /// reused boundary-trace scratch (and is skipped entirely once the
-    /// chain is known hole-free); one trace serves both the monotone
-    /// hole-free latch and the sample.
-    pub fn sample(&mut self) -> TrajectoryPoint {
-        self.measure.sample(&self.sys, self.steps)
-    }
-
-    /// Runs the chain, sampling every `interval` steps, for `total` steps.
-    pub fn trajectory(&mut self, total: u64, interval: u64) -> Vec<TrajectoryPoint> {
-        let interval = interval.max(1);
-        let mut points = vec![self.sample()];
-        let mut done = 0u64;
-        while done < total {
-            let burst = interval.min(total - done);
-            self.run(burst);
-            done += burst;
-            points.push(self.sample());
-        }
-        points
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sops_system::shapes;
+    use sops_system::{metrics, shapes};
 
     fn line_chain(n: usize, lambda: f64, seed: u64) -> CompressionChain {
         let sys = ParticleSystem::connected(shapes::line(n)).unwrap();
@@ -806,6 +486,25 @@ mod tests {
             CompressionChain::<StdRng>::restore(&bad_index).unwrap_err(),
             SnapshotError::BadField { field: "rng", .. }
         ));
+    }
+
+    #[test]
+    fn restore_rejects_a_hole_free_latch_on_a_configuration_with_holes() {
+        let sys = ParticleSystem::connected(shapes::annulus(3)).unwrap();
+        let chain = CompressionChain::from_seed(sys, 4.0, 9).unwrap();
+        let snap = chain.snapshot();
+        assert!(snap.contains("hole_free=0\n"));
+        let forged = snap.replace("hole_free=0\n", "hole_free=1\n");
+        assert!(matches!(
+            CompressionChain::<StdRng>::restore(&forged).unwrap_err(),
+            SnapshotError::Invalid(_)
+        ));
+        // A clear latch on a hole-free configuration stays legal: the latch
+        // is lazy.
+        let line = line_chain(6, 4.0, 1).snapshot();
+        let lazy = line.replace("hole_free=1\n", "hole_free=0\n");
+        let mut restored = CompressionChain::<StdRng>::restore(&lazy).unwrap();
+        assert!(restored.is_hole_free());
     }
 
     #[test]

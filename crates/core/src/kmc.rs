@@ -31,14 +31,14 @@
 //! [`KmcChain`] samples exactly this product law: it draws `K` by inverting
 //! the geometric CDF, advances its step counter by `K + 1`, and picks the
 //! move proportionally to `a`. The distribution of the configuration at
-//! *any* step index — and hence of [`TrajectoryPoint`] sequences,
-//! [`KmcChain::run_until_compressed`] first hits, and stationary histograms
-//! — is identical to the naive chain's. (The realized trajectories differ:
-//! the two samplers consume randomness differently, so they are equal in
-//! law, not bit-for-bit.) Because the geometric law is memoryless, a dwell
-//! that is interrupted — by the end of a [`KmcChain::run`] budget or by a
-//! [`KmcChain::crash`] that changes `S` — can be kept or redrawn against the
-//! new `S` without biasing the process.
+//! *any* step index — and hence of [`crate::chain::TrajectoryPoint`]
+//! sequences, [`KmcChain::run_until_compressed`] first hits, and stationary
+//! histograms — is identical to the naive chain's. (The realized
+//! trajectories differ: the two samplers consume randomness differently, so
+//! they are equal in law, not bit-for-bit.) Because the geometric law is
+//! memoryless, a dwell that is interrupted — by the end of a
+//! [`KmcChain::run`] budget or by a [`KmcChain::crash`] that changes `S` —
+//! can be kept or redrawn against the new `S` without biasing the process.
 //!
 //! # Incremental acceptance masses
 //!
@@ -86,15 +86,14 @@
 use core::fmt;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use sops_lattice::{Direction, TriPoint};
-use sops_system::{metrics, moves, MoveValidity, ParticleSystem};
+use sops_system::{moves, MoveValidity, ParticleSystem};
 
-use crate::chain::{ChainError, TrajectoryPoint};
 use crate::hamiltonian::{EdgeCount, Hamiltonian, MoveContext};
-use crate::measure::HoleTracker;
 use crate::probes::KmcProbes;
-use crate::snapshot::{self, SnapshotError};
+use crate::sampler::{move_delta, Acceptance, Kernel, Sampler};
+use crate::snapshot::{Fields, SnapshotError};
 
 /// Class index marking a pair with zero acceptance mass.
 const CLASS_NONE: u8 = u8::MAX;
@@ -329,22 +328,14 @@ fn locate(counts: &[u32], remaining: &mut u32) -> usize {
         .expect("selection index exceeds class cardinality")
 }
 
-/// The acceptance class of the move described by `ctx` under `hamiltonian`:
-/// `Δ − delta_min`, or [`CLASS_NONE`] when the move is structurally
-/// invalid. (Structural validity — and the energy delta only being
-/// evaluated on valid moves — is Hamiltonian-independent.)
-fn class_of_move<H: Hamiltonian>(hamiltonian: &H, delta_min: i32, ctx: &MoveContext<'_>) -> u8 {
-    let v = ctx.validity;
-    if v.target_occupied || v.five_neighbor_blocked() || !(v.property1 || v.property2) {
-        CLASS_NONE
-    } else {
-        let delta = hamiltonian.delta(ctx);
-        debug_assert!(
-            delta >= delta_min && delta <= hamiltonian.delta_max(),
-            "hamiltonian delta {delta} violates its declared range"
-        );
-        (delta - delta_min) as u8
-    }
+/// The acceptance class of the move described by `ctx`: its
+/// [`Acceptance::class`], or [`CLASS_NONE`] when `M` never makes it.
+fn class_of_move<H: Hamiltonian>(
+    hamiltonian: &H,
+    acceptance: &Acceptance,
+    ctx: &MoveContext<'_>,
+) -> u8 {
+    move_delta(hamiltonian, ctx).map_or(CLASS_NONE, |delta| acceptance.class(delta) as u8)
 }
 
 /// Files the pairs of particle `id` at `pos` in the directions `dirs` (bit
@@ -354,15 +345,15 @@ fn class_of_move<H: Hamiltonian>(hamiltonian: &H, delta_min: i32, ctx: &MoveCont
 ///
 /// Structural validity is decoded from each mask; the Hamiltonian then
 /// classifies each structurally valid move. A free function over split
-/// borrows so the revalidation closure in [`KmcChain::accept_move`] can
-/// mutate the table while reading the configuration. Directions outside
-/// `dirs` are untouched — the caller guarantees their dependency sets did
-/// not change (this is exactly where the locality contract of
-/// [`crate::hamiltonian`] is load-bearing).
+/// borrows so the revalidation closure in `accept_move` can mutate the
+/// table while reading the configuration. Directions outside `dirs` are
+/// untouched — the caller guarantees their dependency sets did not change
+/// (this is exactly where the locality contract of [`crate::hamiltonian`]
+/// is load-bearing).
 #[allow(clippy::too_many_arguments)]
 fn classify_pairs<H: Hamiltonian>(
     hamiltonian: &H,
-    delta_min: i32,
+    acceptance: &Acceptance,
     sys: &ParticleSystem,
     masses: &mut MassTable,
     id: usize,
@@ -388,7 +379,7 @@ fn classify_pairs<H: Hamiltonian>(
                 dir,
                 validity: MoveValidity::from_pair_mask(mask),
             };
-            class_of_move(hamiltonian, delta_min, &ctx)
+            class_of_move(hamiltonian, acceptance, &ctx)
         };
         masses.set(id * 6 + d, class);
     }
@@ -404,15 +395,29 @@ struct Dwell {
     skipped: u64,
 }
 
+/// The rejection-free kernel: the acceptance-mass table, the pair masks it
+/// is classified from, and the pending dwell.
+#[derive(Clone, Debug)]
+pub struct RejectionFree {
+    masses: MassTable,
+    /// Per particle: its six pair masks, packed as
+    /// [`moves::pair_masks_in_window25`] packs them (pair `(id, d)` at bits
+    /// `[9d, 9d + 9)` of word `id`). Exact for every particle, crashed ones
+    /// included; like `masses`, a pure function of the configuration.
+    pair_masks: Vec<u64>,
+    /// The next accepted move, when its dwell is already drawn.
+    pending: Option<Dwell>,
+    counts: KmcCounts,
+    /// Telemetry side channel: never serialized, never read by the
+    /// algorithm (see [`crate::probes`] for the determinism contract).
+    probes: KmcProbes,
+}
+
 /// A rejection-free sampler of Markov chain `M`, equal in law to
 /// [`crate::chain::CompressionChain`] at step granularity (see the
 /// [module docs](self) for the argument) but doing work proportional to
-/// *accepted* moves only.
-///
-/// The API mirrors the naive chain — [`KmcChain::run`],
-/// [`KmcChain::run_until_compressed`], [`KmcChain::trajectory`],
-/// [`KmcChain::sample`], crash injection and text snapshots — with
-/// [`KmcCounts`] in place of per-category rejection counts.
+/// *accepted* moves only: a [`Sampler`] over the [`RejectionFree`] kernel,
+/// with [`KmcCounts`] in place of per-category rejection counts.
 ///
 /// # Example
 ///
@@ -426,346 +431,119 @@ struct Dwell {
 /// assert_eq!(kmc.steps(), 100_000);
 /// assert!(accepted > 0 && kmc.system().is_connected());
 /// ```
-#[derive(Clone, Debug)]
-pub struct KmcChain<R: Rng = StdRng, H: Hamiltonian = EdgeCount> {
-    sys: ParticleSystem,
-    lambda: f64,
-    hamiltonian: H,
-    /// `weight[c]` = `min(1, λ^(delta_min + c))`: the acceptance mass of
-    /// class `c`.
-    weight: Vec<f64>,
-    /// Cached `hamiltonian.delta_min()` — the class-index offset.
-    delta_min: i32,
-    masses: MassTable,
-    /// Per particle: its six pair masks, packed as
-    /// [`moves::pair_masks_in_window25`] packs them (pair `(id, d)` at bits
-    /// `[9d, 9d + 9)` of word `id`). Exact for every particle, crashed ones
-    /// included; like `masses`, a pure function of the configuration.
-    pair_masks: Vec<u64>,
-    rng: R,
-    steps: u64,
-    /// The next accepted move, when its dwell is already drawn.
-    pending: Option<Dwell>,
-    counts: KmcCounts,
-    /// Telemetry side channel: never serialized, never read by the
-    /// algorithm (see [`crate::probes`] for the determinism contract).
-    probes: KmcProbes,
-    /// Hole-free latch + reusable trace scratch (shared implementation
-    /// with the naive chain; scratch is transient, not part of snapshots).
-    measure: HoleTracker,
-    crashed: Vec<bool>,
-    crashed_count: usize,
-    validate: bool,
-}
+pub type KmcChain<R = StdRng, H = EdgeCount> = Sampler<RejectionFree, R, H>;
 
-impl KmcChain<StdRng> {
-    /// Builds an edge-count sampler with a [`StdRng`] seeded from `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KmcChain::new`].
-    pub fn from_seed(
-        sys: ParticleSystem,
-        lambda: f64,
-        seed: u64,
-    ) -> Result<KmcChain<StdRng>, ChainError> {
-        KmcChain::new(sys, lambda, StdRng::seed_from_u64(seed))
-    }
-}
+impl Kernel for RejectionFree {
+    const HEADER: &'static str = "sops-kmc-snapshot v1";
+    type Counts = KmcCounts;
+    type Probes = KmcProbes;
 
-impl<H: Hamiltonian> KmcChain<StdRng, H> {
-    /// Builds a sampler over `hamiltonian` with a [`StdRng`] seeded from
-    /// `seed`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`KmcChain::with_hamiltonian`].
-    pub fn from_seed_with(
-        sys: ParticleSystem,
-        lambda: f64,
-        seed: u64,
-        hamiltonian: H,
-    ) -> Result<KmcChain<StdRng, H>, ChainError> {
-        KmcChain::with_hamiltonian(sys, lambda, StdRng::seed_from_u64(seed), hamiltonian)
+    /// Gathers every particle's pair masks and classifies its pairs: O(n).
+    fn new<H: Hamiltonian>(
+        sys: &ParticleSystem,
+        hamiltonian: &H,
+        acceptance: &Acceptance,
+    ) -> RejectionFree {
+        let n = sys.len();
+        let mut kernel = RejectionFree {
+            masses: MassTable::new(6 * n, acceptance.weights().len()),
+            pair_masks: vec![0; n],
+            pending: None,
+            counts: KmcCounts::default(),
+            probes: KmcProbes::default(),
+        };
+        for id in 0..n {
+            let pos = sys.position(id);
+            let masks = moves::pair_masks_in_window25(sys.window25(pos));
+            kernel.pair_masks[id] = masks;
+            let masses = &mut kernel.masses;
+            classify_pairs(hamiltonian, acceptance, sys, masses, id, pos, masks, 0x3f);
+        }
+        kernel
     }
 
-    /// Serializes the sampler state as a compact text snapshot.
-    ///
-    /// The acceptance-mass table and the pair masks are *not* stored: they
-    /// are a pure function of the configuration and crash set, and
-    /// [`KmcChain::restore`] rebuilds them deterministically — snapshots
-    /// stay the size of the configuration.
-    /// The pending dwell (if drawn) is stored, so restoring and continuing
-    /// reproduces the uninterrupted trajectory bit for bit. The
-    /// `hamiltonian` and `orientations` lines appear only for non-default
-    /// Hamiltonians / oriented configurations, keeping default snapshots
-    /// byte-identical to the pre-trait format.
-    #[must_use]
-    pub fn snapshot(&self) -> String {
-        use core::fmt::Write as _;
-        let crashed: Vec<String> = self
-            .crashed
-            .iter()
-            .enumerate()
-            .filter(|(_, &dead)| dead)
-            .map(|(id, _)| id.to_string())
-            .collect();
+    /// Does work proportional to the accepted moves only.
+    fn run<R: Rng, H: Hamiltonian>(kmc: &mut KmcChain<R, H>, steps: u64) -> u64 {
+        let before = kmc.kernel.counts.moved;
+        let target = kmc.steps.saturating_add(steps);
+        while kmc.steps < target {
+            let Some(dwell) = kmc.next_acceptance() else {
+                // Zero acceptance mass: every remaining step is a no-op.
+                kmc.steps = target;
+                break;
+            };
+            if dwell.at > target {
+                // The dwell extends past this budget; keep it pending
+                // (memorylessness makes either choice exact, keeping it is
+                // deterministic for snapshots) and burn the budget.
+                kmc.steps = target;
+                break;
+            }
+            kmc.steps = dwell.at;
+            let kernel = &mut kmc.kernel;
+            kernel.pending = None;
+            // The dwell is realized — only now does it count.
+            kernel.counts.max_jump = kernel.counts.max_jump.max(dwell.skipped);
+            kernel.probes.dwell.record(dwell.skipped);
+            kmc.accept_move();
+        }
+        kmc.kernel.counts.moved - before
+    }
+
+    fn counts(&self) -> KmcCounts {
+        self.counts
+    }
+
+    fn probes(&self) -> &KmcProbes {
+        &self.probes
+    }
+
+    /// Zeroes the particle's six masses and discards any pending dwell —
+    /// the geometric law is memoryless, so redrawing against the reduced
+    /// mass is exact.
+    fn crash(&mut self, id: usize) {
+        for d in 0..6 {
+            self.masses.set(id * 6 + d, CLASS_NONE);
+        }
+        self.pending = None;
+    }
+
+    fn encode(&self, out: &mut String) {
         let pending = self
             .pending
             .map_or_else(|| "none".into(), |d| format!("{},{}", d.at, d.skipped));
-        let mut s = String::from("sops-kmc-snapshot v1\n");
-        let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.lambda));
-        let name = self.hamiltonian.name();
-        if name != "edges" {
-            let _ = writeln!(s, "hamiltonian={name}");
-        }
-        let _ = writeln!(s, "steps={}", self.steps);
-        let _ = writeln!(s, "counts={},{}", self.counts.moved, self.counts.max_jump);
-        let _ = writeln!(s, "pending={pending}");
-        let _ = writeln!(s, "hole_free={}", u8::from(self.measure.latched()));
-        let _ = writeln!(s, "validate={}", u8::from(self.validate));
-        let _ = writeln!(s, "crashed={}", crashed.join(","));
-        let _ = writeln!(s, "rng={}", snapshot::rng_to_string(&self.rng));
-        let _ = writeln!(
-            s,
-            "positions={}",
-            snapshot::points_to_string(self.sys.positions().iter().copied())
-        );
-        if let Some(orientations) = self.sys.orientations() {
-            let _ = writeln!(s, "orientations={}", snapshot::u8s_to_string(orientations));
-        }
-        s
+        let KmcCounts { moved, max_jump } = self.counts;
+        out.push_str(&format!("counts={moved},{max_jump}\npending={pending}\n"));
     }
 
-    /// Rebuilds a sampler from a [`KmcChain::snapshot`] text.
-    ///
-    /// The snapshot's `hamiltonian` line (default: `edges`) must describe
-    /// an instance of `H`.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapshotError`] when the text is malformed or describes an invalid
-    /// state.
-    pub fn restore(text: &str) -> Result<KmcChain<StdRng, H>, SnapshotError> {
-        let fields = snapshot::Fields::parse(text, "sops-kmc-snapshot v1")?;
-        let positions = snapshot::points_from_string("positions", fields.get("positions")?)?;
-        let mut sys = ParticleSystem::connected(positions)
-            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        sys = snapshot::attach_orientations(sys, &fields)?;
-        let hamiltonian = snapshot::hamiltonian_from_fields::<H>(&fields)?;
-        let lambda = fields.parse_f64_bits("lambda")?;
-        let rng = snapshot::rng_from_string("rng", fields.get("rng")?)?;
-        let mut kmc = KmcChain::with_hamiltonian(sys, lambda, rng, hamiltonian)
-            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        kmc.steps = fields.parse_num("steps")?;
-        let counts: Vec<u64> = fields.parse_list("counts")?;
-        let [moved, max_jump] = counts[..] else {
-            return Err(SnapshotError::BadField {
-                field: "counts",
-                value: fields.get("counts")?.to_string(),
-            });
-        };
-        kmc.counts = KmcCounts { moved, max_jump };
-        kmc.measure
-            .set_latched(fields.parse_num::<u8>("hole_free")? != 0);
-        kmc.validate = fields.parse_num::<u8>("validate")? != 0;
-        for id in fields.parse_list::<usize>("crashed")? {
-            if id >= kmc.crashed.len() {
-                return Err(SnapshotError::Invalid(format!(
-                    "crashed id {id} out of range for {} particles",
-                    kmc.crashed.len()
-                )));
-            }
-            kmc.crash(id);
-        }
-        // After crash() above, which clears any pending dwell: the stored
-        // dwell was drawn against the post-crash mass, so restore it last.
-        let pending_raw = fields.get("pending")?;
-        kmc.pending = if pending_raw == "none" {
+    /// Runs after the crash set, whose crashes clear any pending dwell: the
+    /// stored dwell was drawn against the post-crash mass.
+    fn decode(&mut self, fields: &Fields<'_>, steps: u64) -> Result<(), SnapshotError> {
+        let [moved, max_jump] = fields.parse_array("counts")?;
+        self.counts = KmcCounts { moved, max_jump };
+        self.pending = if fields.get("pending")? == "none" {
             None
         } else {
-            let dwell: Vec<u64> = fields.parse_list("pending")?;
-            let [at, skipped] = dwell[..] else {
-                return Err(SnapshotError::BadField {
-                    field: "pending",
-                    value: pending_raw.to_string(),
-                });
-            };
-            if at <= kmc.steps {
+            let [at, skipped] = fields.parse_array("pending")?;
+            if at <= steps {
                 return Err(SnapshotError::Invalid(format!(
-                    "pending acceptance at step {at} does not lie after step {}",
-                    kmc.steps
+                    "pending acceptance at step {at} does not lie after step {steps}"
                 )));
             }
             Some(Dwell { at, skipped })
         };
-        Ok(kmc)
-    }
-}
-
-impl<R: Rng> KmcChain<R> {
-    /// Builds the paper's edge-count sampler from a connected starting
-    /// configuration and bias `λ`, computing the initial acceptance-mass
-    /// table in O(n).
-    ///
-    /// # Errors
-    ///
-    /// [`ChainError::InvalidLambda`] for non-finite or non-positive `λ`,
-    /// [`ChainError::NotConnected`] for a disconnected start.
-    pub fn new(sys: ParticleSystem, lambda: f64, rng: R) -> Result<KmcChain<R>, ChainError> {
-        KmcChain::with_hamiltonian(sys, lambda, rng, EdgeCount)
+        Ok(())
     }
 }
 
 impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
-    /// Builds the sampler over an explicit [`Hamiltonian`]; equal in law to
-    /// [`crate::chain::CompressionChain::with_hamiltonian`] with the same
-    /// Hamiltonian, at step granularity.
-    ///
-    /// # Errors
-    ///
-    /// [`ChainError::InvalidLambda`] for non-finite or non-positive `λ`,
-    /// [`ChainError::NotConnected`] for a disconnected start, and
-    /// [`ChainError::Hamiltonian`] when the Hamiltonian rejects the
-    /// configuration or declares an unusable delta range.
-    pub fn with_hamiltonian(
-        sys: ParticleSystem,
-        lambda: f64,
-        rng: R,
-        hamiltonian: H,
-    ) -> Result<KmcChain<R, H>, ChainError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(ChainError::InvalidLambda(lambda));
-        }
-        if !sys.is_connected() {
-            return Err(ChainError::NotConnected);
-        }
-        hamiltonian
-            .validate(&sys)
-            .map_err(ChainError::Hamiltonian)?;
-        let (delta_min, delta_max) = (hamiltonian.delta_min(), hamiltonian.delta_max());
-        if delta_min > delta_max || delta_max.saturating_sub(delta_min) > 254 {
-            return Err(ChainError::Hamiltonian(format!(
-                "unusable delta range [{delta_min}, {delta_max}]"
-            )));
-        }
-        let weight: Vec<f64> = (delta_min..=delta_max)
-            .map(|d| lambda.powi(d).min(1.0))
-            .collect();
-        let classes = weight.len();
-        let hole_free = sys.hole_count() == 0;
-        let n = sys.len();
-        let mut kmc = KmcChain {
-            sys,
-            lambda,
-            hamiltonian,
-            weight,
-            delta_min,
-            masses: MassTable::new(6 * n, classes),
-            pair_masks: vec![0; n],
-            rng,
-            steps: 0,
-            pending: None,
-            counts: KmcCounts::default(),
-            probes: KmcProbes::default(),
-            measure: HoleTracker::new(hole_free),
-            crashed: vec![false; n],
-            crashed_count: 0,
-            validate: false,
-        };
-        for id in 0..n {
-            kmc.refresh_particle(id, kmc.sys.position(id));
-        }
-        Ok(kmc)
-    }
-
-    /// The bias parameter `λ`.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.lambda
-    }
-
-    /// The Hamiltonian driving the acceptance masses.
-    #[must_use]
-    pub fn hamiltonian(&self) -> &H {
-        &self.hamiltonian
-    }
-
-    /// The current configuration.
-    #[must_use]
-    pub fn system(&self) -> &ParticleSystem {
-        &self.sys
-    }
-
-    /// Consumes the sampler and returns the final configuration.
-    #[must_use]
-    pub fn into_system(self) -> ParticleSystem {
-        self.sys
-    }
-
-    /// Number of chain steps simulated so far (including skipped
-    /// rejections).
-    #[must_use]
-    pub fn steps(&self) -> u64 {
-        self.steps
-    }
-
-    /// Outcome counters since construction.
-    #[must_use]
-    pub fn counts(&self) -> KmcCounts {
-        self.counts
-    }
-
-    /// Telemetry probes accumulated since construction (or since the last
-    /// restore — probes are not part of snapshots).
-    #[must_use]
-    pub fn probes(&self) -> &KmcProbes {
-        &self.probes
-    }
-
     /// Fraction of simulated steps that moved a particle.
     #[must_use]
     pub fn acceptance_rate(&self) -> f64 {
         if self.steps == 0 {
             return 0.0;
         }
-        self.counts.moved as f64 / self.steps as f64
-    }
-
-    /// Enables per-accepted-move invariant validation (connectivity,
-    /// hole-freeness, pair masks and mass-table coherence re-checked after
-    /// every accepted move). Expensive; intended for tests.
-    pub fn set_validation(&mut self, enabled: bool) {
-        self.validate = enabled;
-    }
-
-    /// Marks a particle as crashed: it stays in place forever and acts as a
-    /// fixed obstacle (Section 3.3). Returns the previous crash state.
-    ///
-    /// Zeroes the particle's six masses and discards any pending dwell —
-    /// the geometric law is memoryless, so redrawing against the reduced
-    /// mass is exact.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is out of range.
-    pub fn crash(&mut self, id: usize) -> bool {
-        let was = self.crashed[id];
-        if !was {
-            self.crashed[id] = true;
-            self.crashed_count += 1;
-            for d in 0..6 {
-                self.masses.set(id * 6 + d, CLASS_NONE);
-            }
-            self.pending = None;
-        }
-        was
-    }
-
-    /// Number of crashed particles.
-    #[must_use]
-    pub fn crashed_count(&self) -> usize {
-        self.crashed_count
+        self.kernel.counts.moved as f64 / self.steps as f64
     }
 
     /// The current per-class pair counts, as maintained incrementally.
@@ -777,7 +555,7 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
     /// diagnostics.
     #[must_use]
     pub fn mass_histogram(&self) -> Vec<u64> {
-        self.masses.histogram()
+        self.kernel.masses.histogram()
     }
 
     /// The per-class pair counts recomputed from scratch off the current
@@ -785,7 +563,7 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
     /// exactly (both are integral, so equality is not approximate).
     #[must_use]
     pub fn recomputed_mass_histogram(&self) -> Vec<u64> {
-        let mut h = vec![0u64; self.weight.len()];
+        let mut h = vec![0u64; self.acceptance.weights().len()];
         for id in 0..self.sys.len() {
             if self.crashed[id] {
                 continue;
@@ -801,7 +579,7 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
                     dir,
                     validity: self.sys.check_move(from, dir),
                 };
-                let c = class_of_move(&self.hamiltonian, self.delta_min, &ctx);
+                let c = class_of_move(&self.hamiltonian, &self.acceptance, &ctx);
                 if c != CLASS_NONE {
                     h[c as usize] += 1;
                 }
@@ -813,46 +591,17 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
     /// The total acceptance mass `S = Σ a(P, d)`.
     #[must_use]
     pub fn total_mass(&self) -> f64 {
-        self.masses.total(&self.weight)
-    }
-
-    /// `true` once the configuration is hole-free; monotone by Lemma 3.2.
-    pub fn is_hole_free(&mut self) -> bool {
-        self.measure.is_hole_free(&self.sys)
-    }
-
-    /// The current perimeter `p(σ)`, through one boundary trace at most
-    /// (none once the chain is known hole-free).
-    #[must_use = "perimeter is a measurement; ignoring it wastes a flood fill"]
-    pub fn perimeter(&mut self) -> u64 {
-        self.measure.perimeter(&self.sys)
-    }
-
-    /// Gathers the six pair masks of the particle `id` at `pos` and
-    /// classifies its pairs.
-    fn refresh_particle(&mut self, id: usize, pos: TriPoint) {
-        let masks = moves::pair_masks_in_window25(self.sys.window25(pos));
-        self.pair_masks[id] = masks;
-        classify_pairs(
-            &self.hamiltonian,
-            self.delta_min,
-            &self.sys,
-            &mut self.masses,
-            id,
-            pos,
-            masks,
-            0x3f,
-        );
+        self.kernel.masses.total(self.acceptance.weights())
     }
 
     /// The next accepted move's dwell, drawing it if none is pending.
     /// `None` when the acceptance mass is zero (no move will ever be
     /// accepted from this state).
     fn next_acceptance(&mut self) -> Option<Dwell> {
-        if let Some(dwell) = self.pending {
+        if let Some(dwell) = self.kernel.pending {
             return Some(dwell);
         }
-        let total = self.masses.total(&self.weight);
+        let total = self.total_mass();
         if total <= 0.0 {
             return None;
         }
@@ -874,31 +623,31 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
             at: self.steps.saturating_add(skipped).saturating_add(1),
             skipped,
         };
-        self.pending = Some(dwell);
+        self.kernel.pending = Some(dwell);
         Some(dwell)
     }
 
     /// Applies the next accepted move (the step counter must already sit on
     /// the acceptance index) and revalidates its neighborhood.
     fn accept_move(&mut self) {
-        let total = self.masses.total(&self.weight);
-        let k = self.masses.sample(&self.weight, total, &mut self.rng) as usize;
+        let weights = self.acceptance.weights();
+        let total = self.kernel.masses.total(weights);
+        let k = self.kernel.masses.sample(weights, total, &mut self.rng) as usize;
         let id = k / 6;
         let dir = Direction::from_index(k % 6);
         let from = self.sys.position(id);
         self.sys
             .move_particle(id, dir)
             .expect("mass table holds only structurally valid moves");
-        self.counts.moved += 1;
+        self.kernel.counts.moved += 1;
         // Revalidate exactly the pairs the occupancy change can touch;
         // borrow the fields separately so the closure can mutate the tables
         // while reading the configuration.
         let sys = &self.sys;
-        let masses = &mut self.masses;
-        let pair_masks = &mut self.pair_masks;
+        let masses = &mut self.kernel.masses;
+        let pair_masks = &mut self.kernel.pair_masks;
         let crashed = &self.crashed;
-        let hamiltonian = &self.hamiltonian;
-        let delta_min = self.delta_min;
+        let (hamiltonian, acceptance) = (&self.hamiltonian, &self.acceptance);
         let mut fanout = 0u64;
         sys.for_each_particle_near_move(from, dir, |qid, qpos, entry| {
             fanout += u64::from(entry.dirs.count_ones());
@@ -914,7 +663,7 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
             if !crashed[qid] {
                 classify_pairs(
                     hamiltonian,
-                    delta_min,
+                    acceptance,
                     sys,
                     masses,
                     qid,
@@ -924,86 +673,11 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
                 );
             }
         });
-        self.probes.revalidation_fanout.record(fanout);
+        self.kernel.probes.revalidation_fanout.record(fanout);
+        self.check_lemmas();
         if self.validate {
-            assert!(self.sys.is_connected(), "Lemma 3.1 violated: disconnected");
-            if self.measure.latched() {
-                assert_eq!(self.sys.hole_count(), 0, "Lemma 3.2 violated: hole");
-            }
             self.assert_invariants();
         }
-    }
-
-    /// Simulates exactly `steps` steps of `M` and returns the number of
-    /// accepted moves, doing work proportional to the accepted moves only.
-    pub fn run(&mut self, steps: u64) -> u64 {
-        let before = self.counts.moved;
-        let target = self.steps.saturating_add(steps);
-        while self.steps < target {
-            let Some(dwell) = self.next_acceptance() else {
-                // Zero acceptance mass: every remaining step is a no-op.
-                self.steps = target;
-                break;
-            };
-            if dwell.at > target {
-                // The dwell extends past this budget; keep it pending
-                // (memorylessness makes either choice exact, keeping it is
-                // deterministic for snapshots) and burn the budget.
-                self.steps = target;
-                break;
-            }
-            self.steps = dwell.at;
-            self.pending = None;
-            // The dwell is realized — only now does it count.
-            self.counts.max_jump = self.counts.max_jump.max(dwell.skipped);
-            self.probes.dwell.record(dwell.skipped);
-            self.accept_move();
-        }
-        self.counts.moved - before
-    }
-
-    /// Runs until the configuration is α-compressed (`p ≤ α · pmin`) or
-    /// `max_steps` elapse; returns the step count at first hit.
-    ///
-    /// Checks the perimeter every `n` steps, on the same step grid as
-    /// [`crate::chain::CompressionChain::run_until_compressed`] — first-hit
-    /// distributions are comparable between the two samplers.
-    pub fn run_until_compressed(&mut self, alpha: f64, max_steps: u64) -> Option<u64> {
-        let n = self.sys.len() as u64;
-        let target = alpha * metrics::pmin(self.sys.len()) as f64;
-        let check_every = n.max(1);
-        let start = self.steps;
-        loop {
-            if self.perimeter() as f64 <= target {
-                return Some(self.steps);
-            }
-            if self.steps - start >= max_steps {
-                return None;
-            }
-            self.run(check_every);
-        }
-    }
-
-    /// Samples the current trajectory point (perimeter, edges, ratios),
-    /// identically to [`crate::chain::CompressionChain::sample`].
-    pub fn sample(&mut self) -> TrajectoryPoint {
-        self.measure.sample(&self.sys, self.steps)
-    }
-
-    /// Runs the sampler, sampling every `interval` steps, for `total` steps
-    /// — the same step-indexed schedule as
-    /// [`crate::chain::CompressionChain::trajectory`].
-    pub fn trajectory(&mut self, total: u64, interval: u64) -> Vec<TrajectoryPoint> {
-        let interval = interval.max(1);
-        let mut points = vec![self.sample()];
-        let mut done = 0u64;
-        while done < total {
-            let burst = interval.min(total - done);
-            self.run(burst);
-            done += burst;
-            points.push(self.sample());
-        }
-        points
     }
 
     /// Checks internal invariants: configuration coherence, stored pair
@@ -1015,8 +689,8 @@ impl<R: Rng, H: Hamiltonian> KmcChain<R, H> {
     /// Panics if any invariant is violated.
     pub fn assert_invariants(&self) {
         self.sys.assert_invariants();
-        self.masses.assert_valid();
-        for (id, &masks) in self.pair_masks.iter().enumerate() {
+        self.kernel.masses.assert_valid();
+        for (id, &masks) in self.kernel.pair_masks.iter().enumerate() {
             let fresh = moves::pair_masks_in_window25(self.sys.window25(self.sys.position(id)));
             assert_eq!(masks, fresh, "pair masks of particle {id} drifted");
         }
@@ -1036,7 +710,7 @@ impl<R: Rng, H: Hamiltonian> fmt::Display for KmcChain<R, H> {
             self.sys.len(),
             self.lambda,
             self.steps,
-            self.counts.moved
+            self.kernel.counts.moved
         )
     }
 }
@@ -1044,7 +718,9 @@ impl<R: Rng, H: Hamiltonian> fmt::Display for KmcChain<R, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sops_system::shapes;
+    use crate::chain::ChainError;
+    use rand::SeedableRng;
+    use sops_system::{metrics, shapes};
 
     fn line_kmc(n: usize, lambda: f64, seed: u64) -> KmcChain {
         let sys = ParticleSystem::connected(shapes::line(n)).unwrap();
@@ -1302,6 +978,23 @@ mod tests {
             KmcChain::<StdRng>::restore(&rewound).unwrap_err(),
             SnapshotError::Invalid(_)
         ));
+    }
+
+    #[test]
+    fn restore_rejects_a_hole_free_latch_on_a_configuration_with_holes() {
+        let sys = ParticleSystem::connected(shapes::annulus(3)).unwrap();
+        let kmc = KmcChain::from_seed(sys, 4.0, 9).unwrap();
+        let snap = kmc.snapshot();
+        assert!(snap.contains("hole_free=0\n"));
+        let forged = snap.replace("hole_free=0\n", "hole_free=1\n");
+        assert!(matches!(
+            KmcChain::<StdRng>::restore(&forged).unwrap_err(),
+            SnapshotError::Invalid(_)
+        ));
+        let line = line_kmc(6, 4.0, 1).snapshot();
+        let lazy = line.replace("hole_free=1\n", "hole_free=0\n");
+        let mut restored = KmcChain::<StdRng>::restore(&lazy).unwrap();
+        assert!(restored.is_hole_free());
     }
 
     #[test]

@@ -14,6 +14,8 @@
 //!   proportional move pick, equal in law to `M` at step granularity but
 //!   doing work per *accepted* move only — the right tool at or near the
 //!   compressed equilibrium, where almost every naive step rejects.
+//!   Both are [`sampler::Sampler`] over different kernels: one state,
+//!   one acceptance rule, one snapshot codec and one measurement layer.
 //! * [`local::LocalRunner`] — the fully distributed, local, asynchronous
 //!   algorithm `A` (Section 3.2): each particle runs on its own Poisson
 //!   clock, moves in decoupled expand/contract phases, and serializes its
@@ -55,6 +57,7 @@ pub mod kmc;
 pub mod local;
 mod measure;
 pub mod probes;
+pub mod sampler;
 pub mod sharded;
 pub mod snapshot;
 
@@ -63,6 +66,7 @@ pub use hamiltonian::{Alignment, EdgeCount, Hamiltonian, HamiltonianSpec, MoveCo
 pub use kmc::{KmcChain, KmcCounts};
 pub use local::LocalRunner;
 pub use probes::{ChainProbes, KmcProbes, LocalProbes};
+pub use sampler::{Acceptance, Kernel, Sampler};
 pub use sharded::ShardedLocalRunner;
 pub use snapshot::SnapshotError;
 

@@ -1,12 +1,10 @@
-//! Shared trajectory measurement for the two samplers of `M`.
+//! Trajectory measurement for the samplers of `M`.
 //!
-//! Both [`crate::chain::CompressionChain`] and [`crate::kmc::KmcChain`]
-//! observe the same quantities the same way: a monotone hole-free latch
-//! (holes never reappear once eliminated — Lemma 3.2) lazily confirmed by
-//! an allocation-free boundary trace, a perimeter through the closed form
-//! `p = 3n − e − 3 + 3H`, and [`TrajectoryPoint`] samples. One
-//! implementation here keeps the two from drifting (this PR's
-//! one-trace-per-check fix would otherwise have to be applied twice).
+//! [`crate::sampler::Sampler`] observes a configuration through a monotone
+//! hole-free latch (holes never reappear once eliminated — Lemma 3.2)
+//! lazily confirmed by an allocation-free boundary trace, a perimeter
+//! through the closed form `p = 3n − e − 3 + 3H`, and [`TrajectoryPoint`]
+//! samples; one boundary trace serves the latch and the measurement alike.
 
 use sops_system::{boundary, metrics, ParticleSystem};
 

@@ -1,24 +1,44 @@
 //! Compact text snapshots of simulation state (checkpoint/resume support).
 //!
 //! Long sweeps — millions of particles × millions of steps × many (n, λ)
-//! cells — need to survive interruption. Both simulators therefore expose a
-//! `snapshot` / `restore` pair over a line-oriented `key=value` text format:
+//! cells — need to survive interruption. Every simulator therefore exposes
+//! a `snapshot` / `restore` pair over a line-oriented `key=value` text
+//! format whose first line is a format header:
 //!
-//! * [`crate::chain::CompressionChain::snapshot`] captures the particle
-//!   positions (in id order), the bias λ, the step and outcome counters, the
-//!   crash set and the exact RNG state (ChaCha key + block counter + word
-//!   index — three words instead of the whole output buffer).
-//! * [`crate::local::LocalRunner::snapshot`] additionally captures the
-//!   expanded heads, per-particle flags, the Poisson future-event list and
-//!   the asynchronous round bookkeeping. The future-event list (`queue=`,
-//!   one `time:id` per pending event) is written in particle-id order, and
-//!   restore accepts its events in any order.
+//! * The two samplers of chain `M` share one codec,
+//!   [`crate::sampler::Sampler::snapshot`] and
+//!   [`crate::sampler::Sampler::restore`]. After the header —
+//!   `sops-chain-snapshot v1` for [`crate::chain::CompressionChain`],
+//!   `sops-kmc-snapshot v1` for [`crate::kmc::KmcChain`] — come, in order:
+//!   `lambda=` (IEEE bits in hex), `hamiltonian=` (only for a non-default
+//!   Hamiltonian), `steps=`, `counts=`, `hole_free=`, `validate=`,
+//!   `crashed=` (ids), `rng=` (ChaCha key + block counter + word index —
+//!   three words instead of the whole output buffer), `positions=` (in id
+//!   order) and `orientations=` (only for oriented configurations). The
+//!   chain's `counts=` holds its six outcome counts.
+//! * KMC's `counts=` holds `moved,max_jump` and is followed by `pending=`:
+//!   the drawn but not yet realized dwell as `at,skipped`, or `none`. Its
+//!   mass table and pair masks are a pure function of the configuration
+//!   and crash set, so snapshots omit them and restore rebuilds them.
+//!   Restore applies the crash set before `pending=`, because a crash
+//!   discards a pending dwell.
+//! * Restore rejects the other sampler's header, a `hamiltonian=` the
+//!   restore type cannot parse, and `hole_free=1` on a configuration with
+//!   holes (`hole_free=0` on a hole-free one is legal: the latch is lazy).
+//! * [`crate::local::LocalRunner::snapshot`] captures the configuration and
+//!   RNG likewise, plus the expanded heads, per-particle flags, the Poisson
+//!   future-event list and the asynchronous round bookkeeping. The
+//!   future-event list (`queue=`, one `time:id` per pending event) is
+//!   written in particle-id order, and restore accepts its events in any
+//!   order.
 //!
 //! Restoring a snapshot and continuing produces the **bitwise identical**
 //! trajectory of the uninterrupted run: floats round-trip through their IEEE
 //! bit patterns (hex), never through decimal, and the RNG keystream resumes
 //! mid-block. This is what lets `sops-engine` checkpoint a sweep at any
 //! point and resume it — on any number of threads — to the same results.
+//! The snapshots in `tests/data/snapshots/` pin the format: each must
+//! restore, re-encode to the same bytes and continue to a recorded result.
 
 use core::fmt;
 use std::collections::BTreeMap;
@@ -380,6 +400,22 @@ impl<'a> Fields<'a> {
                 })
             })
             .collect()
+    }
+
+    /// A comma-separated list of exactly `N` values.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapshotError::MissingField`] or [`SnapshotError::BadField`].
+    pub fn parse_array<T: core::str::FromStr, const N: usize>(
+        &self,
+        key: &'static str,
+    ) -> Result<[T; N], SnapshotError> {
+        let values: Vec<T> = self.parse_list(key)?;
+        values.try_into().map_err(|_| SnapshotError::BadField {
+            field: key,
+            value: self.map[key].to_string(),
+        })
     }
 }
 

@@ -11,6 +11,8 @@
 //!   is transient, draining into `Ω*` (Lemmas 3.8/3.10, Corollary 3.11);
 //! * power iteration from any start converges to `π` (ergodicity).
 
+use sops_core::sampler::{move_delta, Acceptance};
+use sops_core::{EdgeCount, MoveContext};
 use sops_lattice::{Direction, TriMap, TriPoint};
 use sops_system::{canonical_key, CanonicalKey, ParticleSystem};
 
@@ -127,16 +129,17 @@ impl StateSpace {
     /// Transition `σ → τ` (for `τ ≠ σ` reachable by one particle move)
     /// has probability `(m / 6n) · min(1, λ^(e′−e))` where `m` counts the
     /// particle moves realizing it; the remaining mass is the self-loop.
+    /// Each move is judged by the samplers' own rule
+    /// ([`sops_core::sampler::move_delta`] and
+    /// [`sops_core::sampler::Acceptance`] under [`EdgeCount`]).
     ///
     /// # Panics
     ///
     /// Panics if `lambda` is not finite and positive.
     #[must_use]
     pub fn transition_matrix(&self, lambda: f64) -> TransitionMatrix {
-        assert!(
-            lambda.is_finite() && lambda > 0.0,
-            "λ must be finite and positive"
-        );
+        let acceptance =
+            Acceptance::new(&EdgeCount, lambda).expect("λ must be finite and positive");
         let n = self.n;
         let base = 1.0 / (6.0 * n as f64);
         let mut rows = Vec::with_capacity(self.len());
@@ -147,12 +150,17 @@ impl StateSpace {
             for id in 0..n {
                 let from = sys.position(id);
                 for dir in Direction::ALL {
-                    let validity = sys.check_move(from, dir);
-                    if !validity.is_structurally_valid() {
+                    let ctx = MoveContext {
+                        sys: &sys,
+                        id,
+                        from,
+                        dir,
+                        validity: sys.check_move(from, dir),
+                    };
+                    let Some(delta) = move_delta(&EdgeCount, &ctx) else {
                         continue;
-                    }
-                    let accept = lambda.powi(validity.edge_delta()).min(1.0);
-                    let prob = base * accept;
+                    };
+                    let prob = base * acceptance.weight(delta);
                     // Destination state: move this one particle.
                     let mut moved: Vec<TriPoint> = cells.clone();
                     moved[id] = from + dir;

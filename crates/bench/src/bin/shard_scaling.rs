@@ -24,7 +24,7 @@ use sops::analysis::table::{fmt_f64, Table};
 use sops::core::sharded::ShardedLocalRunner;
 use sops::system::{shapes, ParticleSystem};
 use sops_bench::{help, out, Args};
-use sops_engine::{run_grid, Algorithm, EngineConfig, JobGrid, PoolExecutor, Shape};
+use sops_engine::{run_sweep, Algorithm, EngineConfig, GridSpec, PoolExecutor, Shape};
 
 const USAGE: &str = "\
 shard_scaling — intra-run sharding of the local algorithm at n >= 10^6
@@ -153,15 +153,18 @@ fn main() {
     // `--metrics`: one engine-driven sharded job over the same system so
     // the run leaves a real metrics.json (local-sharded.* counters) behind.
     if args.flag("metrics") {
-        let grid = JobGrid::new(seed)
-            .ns([n])
-            .lambdas([lambda])
-            .shapes([Shape::Spiral])
-            .algorithms([Algorithm::LocalSharded])
-            .steps(rounds)
-            .samples(1);
-        let report = run_grid(
-            &grid,
+        let grid = GridSpec {
+            ns: vec![n],
+            lambdas: vec![lambda],
+            shapes: vec![Shape::Spiral],
+            algorithms: vec![Algorithm::LocalSharded],
+            steps: rounds,
+            samples: 1,
+            ..GridSpec::default()
+        }
+        .build(seed);
+        let report = run_sweep(
+            grid,
             &EngineConfig {
                 threads: 1,
                 shards: *ladder.last().expect("nonempty ladder").max(&1),

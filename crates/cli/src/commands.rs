@@ -5,7 +5,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use sops::prelude::*;
 use sops_bench::{out, Args};
-use sops_engine::{CheckpointConfig, EngineConfig, ExperimentSpec, FaultSpec, JobGrid, JobSpec};
+use sops_engine::{CheckpointConfig, EngineConfig, ExperimentSpec, FaultSpec, GridSpec, JobSpec};
 
 /// Exit code for a sweep that completed with failed or quarantined jobs
 /// (partial CSV written; recover with `--retry-failed`).
@@ -57,9 +57,10 @@ pub fn build_shape(args: &Args, n: usize, seed: u64) -> ParticleSystem {
 }
 
 /// Parses a comma-separated list with `FromStr` items, exiting with a
-/// usage error on malformed input.
+/// usage error on malformed input or a list with no items (`--n ,`).
 fn parse_list<T: core::str::FromStr>(flag: &str, raw: &str) -> Vec<T> {
-    raw.split(',')
+    let items: Vec<T> = raw
+        .split(',')
         .filter(|item| !item.is_empty())
         .map(|item| {
             item.parse().unwrap_or_else(|_| {
@@ -67,73 +68,37 @@ fn parse_list<T: core::str::FromStr>(flag: &str, raw: &str) -> Vec<T> {
                 std::process::exit(2);
             })
         })
-        .collect()
+        .collect();
+    if items.is_empty() {
+        eprintln!("--{flag}: expects at least one value");
+        std::process::exit(2);
+    }
+    items
 }
 
-/// `sops-cli sweep` — drive a (n × λ × shape × algorithm) grid on the
-/// execution engine, with optional checkpoint/resume.
-pub fn sweep(args: &Args) {
-    let ns: Vec<usize> = parse_list("n", &args.get_string("n").unwrap_or_else(|| "100".into()));
-    let lambdas: Vec<f64> = parse_list(
-        "lambda",
-        &args.get_string("lambda").unwrap_or_else(|| "4".into()),
-    );
-    let shapes: Vec<sops_engine::Shape> = parse_list(
-        "shape",
-        &args.get_string("shape").unwrap_or_else(|| "line".into()),
-    );
-    let algorithms: Vec<sops_engine::Algorithm> = parse_list(
-        "algo",
-        &args.get_string("algo").unwrap_or_else(|| "chain".into()),
-    );
-    let hamiltonians: Option<Vec<sops_engine::HamiltonianSpec>> = args
-        .get_string("hamiltonian")
-        .map(|raw| parse_list("hamiltonian", &raw));
-    let steps = args.get_u64("steps", 100_000);
-    let seed = args.get_u64("seed", 0);
-    let out_name = args.get_string("out").unwrap_or_else(|| "sweep".into());
+/// The `--{flag}` list axis, or `default` when the flag is absent.
+fn list_or<T: core::str::FromStr>(args: &Args, flag: &str, default: Vec<T>) -> Vec<T> {
+    args.get_string(flag)
+        .map_or(default, |raw| parse_list(flag, &raw))
+}
 
-    let mut grid = JobGrid::new(seed)
-        .ns(ns)
-        .lambdas(lambdas)
-        .shapes(shapes)
-        .algorithms(algorithms.iter().copied())
-        .steps(steps)
-        .burnin(args.get_u64("burnin", 0))
-        .samples(args.get_u64("samples", 100))
-        .reps(args.get_u64("reps", 1));
-    if let Some(hams) = hamiltonians {
-        // The Hamiltonian axis fans out over the chain samplers only; make
-        // a sweep with none of them an explicit error, not a silent no-op.
-        if !algorithms.iter().any(|a| a.is_chain_sampler()) {
-            eprintln!(
-                "--hamiltonian requires --algo chain or chain-kmc \
-                 (only the chain samplers take a Hamiltonian)"
-            );
-            std::process::exit(2);
-        }
-        grid = grid.hamiltonians(hams);
-    }
-    if let Some(alpha) = args.get_string("until-alpha") {
-        // First-hit mode only exists for the chain samplers; reject or warn
-        // rather than silently ignoring the flag.
-        let chains = algorithms.iter().filter(|a| a.is_chain_sampler()).count();
-        if chains == 0 {
-            eprintln!(
-                "--until-alpha requires --algo chain or chain-kmc \
-                 (first-hit mode only exists for the chain samplers)"
-            );
-            std::process::exit(2);
-        }
-        if chains < algorithms.len() {
-            eprintln!("note: --until-alpha only applies to the chain/chain-kmc jobs in this sweep");
-        }
-        grid = grid.until_alpha(alpha.parse().unwrap_or_else(|_| {
-            eprintln!("--until-alpha expects a number");
-            std::process::exit(2);
-        }));
-    }
-
+/// The engine settings `sweep` and `run` share: threads, the JSONL event
+/// path `results/<out>.jsonl`, `--stop-after`, telemetry, `SOPS_FAULTS`
+/// and `--retry-failed`, with experiment provenance `experiment` and one
+/// shard worker (callers set [`EngineConfig::shards`]).
+///
+/// Without a checkpoint, each of `needs_checkpoint` (valued flags) and
+/// `--retry-failed` that was passed is a usage error "`--<flag> requires
+/// <requirement>`": those flags mean nothing without a checkpoint store,
+/// and erroring beats silently running the sweep to completion.
+fn engine_config(
+    args: &Args,
+    out_name: &str,
+    checkpoint: Option<CheckpointConfig>,
+    needs_checkpoint: &[&str],
+    requirement: &str,
+    experiment: Option<String>,
+) -> EngineConfig {
     let events_path = match out::path(&format!("{out_name}.jsonl")) {
         Ok(path) => path,
         Err(err) => {
@@ -141,24 +106,19 @@ pub fn sweep(args: &Args) {
             std::process::exit(1);
         }
     };
-    let checkpoint = args.get_string("checkpoint").map(|dir| {
-        CheckpointConfig::new(dir, args.get_u64("checkpoint-every", (steps / 10).max(1)))
-    });
     if checkpoint.is_none() {
-        // These flags are meaningless without a checkpoint store; erroring
-        // beats silently running the sweep to completion.
-        for flag in ["stop-after", "checkpoint-every"] {
+        for flag in needs_checkpoint {
             if args.get_string(flag).is_some() {
-                eprintln!("--{flag} requires --checkpoint DIR");
+                eprintln!("--{flag} requires {requirement}");
                 std::process::exit(2);
             }
         }
         if args.flag("retry-failed") {
-            eprintln!("--retry-failed requires --checkpoint DIR");
+            eprintln!("--retry-failed requires {requirement}");
             std::process::exit(2);
         }
     }
-    let cfg = EngineConfig {
+    EngineConfig {
         threads: args.threads(),
         checkpoint,
         events_path: Some(events_path),
@@ -168,16 +128,87 @@ pub fn sweep(args: &Args) {
                 std::process::exit(2);
             })
         }),
-        // Flag-driven sweeps carry no experiment provenance — artifacts stay
-        // byte-identical to pre-experiment-file versions.
-        experiment: None,
+        experiment,
         telemetry: args.telemetry(),
         faults: faults_from_env(),
         retry_failed: args.flag("retry-failed"),
-        shards: args.get_usize("shards", 1),
-    };
+        shards: 1,
+    }
+}
 
-    execute_sweep(grid.build(), &cfg, seed, &out_name, args);
+/// `sops-cli sweep` — drive a (n × λ × shape × algorithm) grid on the
+/// execution engine, with optional checkpoint/resume.
+pub fn sweep(args: &Args) {
+    let defaults = GridSpec::default();
+    let mut grid = GridSpec {
+        ns: list_or(args, "n", defaults.ns),
+        lambdas: list_or(args, "lambda", defaults.lambdas),
+        shapes: list_or(args, "shape", defaults.shapes),
+        algorithms: list_or(args, "algo", defaults.algorithms),
+        hamiltonians: args
+            .get_string("hamiltonian")
+            .map(|raw| parse_list("hamiltonian", &raw)),
+        steps: args.get_u64("steps", defaults.steps),
+        burnin: args.get_u64("burnin", defaults.burnin),
+        samples: args.get_u64("samples", defaults.samples),
+        reps: args.get_u64("reps", defaults.reps),
+        ..defaults
+    };
+    let seed = args.get_u64("seed", 0);
+    let out_name = args.get_string("out").unwrap_or_else(|| "sweep".into());
+
+    let chains = grid
+        .algorithms
+        .iter()
+        .filter(|a| a.is_chain_sampler())
+        .count();
+    // The Hamiltonian axis fans out over the chain samplers only; make a
+    // sweep with none of them an explicit error, not a silent no-op.
+    if grid.hamiltonians.is_some() && chains == 0 {
+        eprintln!(
+            "--hamiltonian requires --algo chain or chain-kmc \
+             (only the chain samplers take a Hamiltonian)"
+        );
+        std::process::exit(2);
+    }
+    if let Some(alpha) = args.get_string("until-alpha") {
+        // First-hit mode only exists for the chain samplers; reject or warn
+        // rather than silently ignoring the flag.
+        if chains == 0 {
+            eprintln!(
+                "--until-alpha requires --algo chain or chain-kmc \
+                 (first-hit mode only exists for the chain samplers)"
+            );
+            std::process::exit(2);
+        }
+        if chains < grid.algorithms.len() {
+            eprintln!("note: --until-alpha only applies to the chain/chain-kmc jobs in this sweep");
+        }
+        grid.until_alpha = Some(alpha.parse().unwrap_or_else(|_| {
+            eprintln!("--until-alpha expects a number");
+            std::process::exit(2);
+        }));
+    }
+
+    let checkpoint = args.get_string("checkpoint").map(|dir| {
+        CheckpointConfig::new(
+            dir,
+            args.get_u64("checkpoint-every", (grid.steps / 10).max(1)),
+        )
+    });
+    let mut cfg = engine_config(
+        args,
+        &out_name,
+        checkpoint,
+        &["stop-after", "checkpoint-every"],
+        "--checkpoint DIR",
+        // Flag-driven sweeps carry no experiment provenance — artifacts
+        // stay byte-identical to pre-experiment-file versions.
+        None,
+    );
+    cfg.shards = args.get_usize("shards", 1);
+
+    execute_sweep(grid.build(seed), &cfg, seed, &out_name, args);
 }
 
 /// Runs a resolved job list on the engine and emits the final table —
@@ -348,13 +379,6 @@ pub fn run(path: &str, args: &Args) {
     let out_name = args
         .get_string("out")
         .unwrap_or_else(|| spec.output.clone());
-    let events_path = match out::path(&format!("{out_name}.jsonl")) {
-        Ok(path) => path,
-        Err(err) => {
-            eprintln!("cannot prepare results directory: {err}");
-            std::process::exit(1);
-        }
-    };
     // CLI checkpoint flags beat the file's [checkpoint] section.
     let checkpoint = match args.get_string("checkpoint") {
         Some(dir) => {
@@ -369,46 +393,25 @@ pub fn run(path: &str, args: &Args) {
             .as_ref()
             .map(|ck| CheckpointConfig::new(&ck.dir, args.get_u64("checkpoint-every", ck.every))),
     };
-    if checkpoint.is_none() {
-        if args.get_string("stop-after").is_some() {
-            eprintln!(
-                "--stop-after requires a checkpoint (a [checkpoint] section or --checkpoint DIR)"
-            );
-            std::process::exit(2);
-        }
-        if args.flag("retry-failed") {
-            eprintln!(
-                "--retry-failed requires a checkpoint (a [checkpoint] section or --checkpoint DIR)"
-            );
-            std::process::exit(2);
-        }
-    }
-    let cfg = EngineConfig {
-        threads: args.threads(),
+    let mut cfg = engine_config(
+        args,
+        &out_name,
         checkpoint,
-        events_path: Some(events_path),
-        stop_after_checkpoints: args.get_string("stop-after").map(|v| {
+        &["stop-after"],
+        "a checkpoint (a [checkpoint] section or --checkpoint DIR)",
+        Some(spec.name.clone()),
+    );
+    // The CLI flag beats the file's top-level `shards` key; both are
+    // execution details, so neither affects any artifact byte.
+    cfg.shards = args
+        .get_string("shards")
+        .map_or(spec.shards, |v| {
             v.parse().unwrap_or_else(|_| {
-                eprintln!("--stop-after expects an integer");
+                eprintln!("--shards expects an integer");
                 std::process::exit(2);
             })
-        }),
-        experiment: Some(spec.name.clone()),
-        telemetry: args.telemetry(),
-        faults: faults_from_env(),
-        retry_failed: args.flag("retry-failed"),
-        // The CLI flag beats the file's top-level `shards` key; both are
-        // execution details, so neither affects any artifact byte.
-        shards: args
-            .get_string("shards")
-            .map_or(spec.shards, |v| {
-                v.parse().unwrap_or_else(|_| {
-                    eprintln!("--shards expects an integer");
-                    std::process::exit(2);
-                })
-            })
-            .max(1),
-    };
+        })
+        .max(1);
     if !args.flag("quiet") {
         eprintln!("experiment {} ({path})", spec.name);
     }

@@ -232,9 +232,16 @@ impl Kernel for Metropolis {
         ));
     }
 
-    fn decode(&mut self, fields: &Fields<'_>, _steps: u64) -> Result<(), SnapshotError> {
-        let [moved, target_occupied, crashed, five_neighbor, property, metropolis] =
-            fields.parse_array("counts")?;
+    fn decode(&mut self, fields: &Fields<'_>, steps: u64) -> Result<(), SnapshotError> {
+        let counts: [u64; 6] = fields.parse_array("counts")?;
+        // Every step records exactly one outcome.
+        let total = counts.iter().try_fold(0u64, |sum, &c| sum.checked_add(c));
+        if total != Some(steps) {
+            return Err(SnapshotError::Invalid(format!(
+                "outcome counts {counts:?} do not sum to steps={steps}"
+            )));
+        }
+        let [moved, target_occupied, crashed, five_neighbor, property, metropolis] = counts;
         self.counts = StepCounts {
             moved,
             target_occupied,

@@ -524,10 +524,17 @@ impl Kernel for RejectionFree {
         self.pending = if fields.get("pending")? == "none" {
             None
         } else {
-            let [at, skipped] = fields.parse_array("pending")?;
+            let [at, skipped]: [u64; 2] = fields.parse_array("pending")?;
             if at <= steps {
                 return Err(SnapshotError::Invalid(format!(
                     "pending acceptance at step {at} does not lie after step {steps}"
+                )));
+            }
+            // A dwell drawn at step `s` has `at = s + skipped + 1`.
+            let drawn = at.checked_sub(skipped).and_then(|d| d.checked_sub(1));
+            if !drawn.is_some_and(|d| d <= steps) {
+                return Err(SnapshotError::Invalid(format!(
+                    "pending dwell at={at},skipped={skipped} was not drawn by step {steps}"
                 )));
             }
             Some(Dwell { at, skipped })

@@ -29,9 +29,16 @@
 //! The runner has two independent implementations of that schedule:
 //!
 //! * [`ShardedLocalRunner::run_rounds`] — the **unsharded reference**: one
-//!   flat occupancy grid, one sequential pass in schedule order.
-//! * [`ShardedLocalRunner::run_rounds_with`] — the **sharded executor**:
-//!   per-region cells own their particles and a private [`TileGrid`] of
+//!   flat occupancy grid, one sequential pass in schedule order. It is
+//!   kept as the oracle the sharded executor is checked against
+//!   (`crates/system/tests/shard_differential.rs`, the `GOLDEN_SHARDED`
+//!   fingerprints in `crates/engine/tests/local_golden.rs`, this module's
+//!   halo-oracle test, and the "flat" rows of the `shard_scaling` binary
+//!   and the perfbench tracer); no production path runs it.
+//! * [`ShardedLocalRunner::run_rounds_with`] — the **sharded executor**,
+//!   the one path the engine and `sops-cli local --shards` run at every
+//!   worker count (one worker runs inline): per-region cells own their
+//!   particles and a private [`TileGrid`] of
 //!   their slots; each color step ships the active cells to a
 //!   [`StepExecutor`] as self-contained [`ShardTask`]s (cell + neighbor
 //!   rims + stream seed); boundary state moves as rim exports and emigrant

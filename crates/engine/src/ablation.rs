@@ -14,6 +14,8 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sops::core::chain::ChainError;
+use sops::core::hamiltonian::EdgeCount;
+use sops::core::sampler::Acceptance;
 use sops::core::snapshot::{self, SnapshotError};
 use sops::lattice::Direction;
 use sops::system::ParticleSystem;
@@ -81,9 +83,12 @@ impl AblationReport {
 
 /// A stepwise, checkpointable (possibly ablated) chain.
 ///
-/// The Metropolis filter stays intact in all variants — only the structural
-/// guards change — so any invariant violation is attributable to the
-/// ablated condition. Invariants are checked on accepted moves at step
+/// The Metropolis filter — `M`'s own [`Acceptance`] table over the edge
+/// count — stays intact in all variants; only the structural guards
+/// change, so any invariant violation is attributable to the ablated
+/// condition. (Unguarded moves still have an edge delta within the
+/// table's `[−5, 5]`: each end of a move has at most five other
+/// neighbors.) Invariants are checked on accepted moves at step
 /// multiples of `check_every`; once ten violations have been observed the
 /// chain **halts**: a disconnected system drifts apart without bound,
 /// making both further simulation and hole analysis meaningless (and the
@@ -93,6 +98,7 @@ pub struct AblationChain {
     sys: ParticleSystem,
     rng: StdRng,
     lambda: f64,
+    acceptance: Acceptance,
     guards: Guards,
     check_every: u64,
     report: AblationReport,
@@ -113,9 +119,7 @@ impl AblationChain {
         check_every: u64,
         seed: u64,
     ) -> Result<AblationChain, ChainError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(ChainError::InvalidLambda(lambda));
-        }
+        let acceptance = Acceptance::new(&EdgeCount, lambda)?;
         if !start.is_connected() {
             return Err(ChainError::NotConnected);
         }
@@ -123,6 +127,7 @@ impl AblationChain {
             sys: start.clone(),
             rng: StdRng::seed_from_u64(seed),
             lambda,
+            acceptance,
             guards,
             check_every: check_every.max(1),
             report: AblationReport::default(),
@@ -176,7 +181,7 @@ impl AblationChain {
         if self.guards.properties && !(validity.property1 || validity.property2) {
             return false;
         }
-        let threshold = self.lambda.powi(validity.edge_delta()).min(1.0);
+        let threshold = self.acceptance.weight(validity.edge_delta());
         if threshold < 1.0 && self.rng.gen::<f64>() >= threshold {
             return false;
         }
@@ -265,13 +270,13 @@ impl AblationChain {
         let first_violation =
             snapshot::opt_u64_from_string("first_violation", fields.get("first_violation")?)?;
         let lambda = fields.parse_f64_bits("lambda")?;
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(SnapshotError::Invalid(format!("bad lambda {lambda}")));
-        }
+        let acceptance = Acceptance::new(&EdgeCount, lambda)
+            .map_err(|e| SnapshotError::Invalid(e.to_string()))?;
         Ok(AblationChain {
             sys,
             rng: snapshot::rng_from_string("rng", fields.get("rng")?)?,
             lambda,
+            acceptance,
             guards: Guards {
                 five_neighbor_rule: guard_bits[0],
                 properties: guard_bits[1],

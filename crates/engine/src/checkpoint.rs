@@ -456,7 +456,7 @@ fn job_id_of(path: &Path) -> Option<usize> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::grid::{Algorithm, JobGrid};
+    use crate::grid::{Algorithm, GridSpec};
 
     fn tmp(name: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!("sops_engine_store_{name}"));
@@ -467,12 +467,21 @@ mod tests {
     #[test]
     fn open_initializes_and_detects_foreign_sweeps() {
         let dir = tmp("meta");
-        let specs = JobGrid::new(1).ns([5]).build();
+        let specs = GridSpec {
+            ns: vec![5],
+            ..GridSpec::default()
+        }
+        .build(1);
         let (_, resumed) = Store::open(&dir, &specs, None, None).unwrap();
         assert!(!resumed);
         let (_, resumed) = Store::open(&dir, &specs, None, None).unwrap();
         assert!(resumed);
-        let other = JobGrid::new(2).ns([6]).lambdas([3.0]).build();
+        let other = GridSpec {
+            ns: vec![6],
+            lambdas: vec![3.0],
+            ..GridSpec::default()
+        }
+        .build(2);
         let err = Store::open(&dir, &other, None, None).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         let _ = fs::remove_dir_all(&dir);
@@ -481,7 +490,11 @@ mod tests {
     #[test]
     fn experiment_provenance_leads_meta_and_guards_resume() {
         let dir = tmp("provenance");
-        let specs = JobGrid::new(1).ns([5]).build();
+        let specs = GridSpec {
+            ns: vec![5],
+            ..GridSpec::default()
+        }
+        .build(1);
         let _ = Store::open(&dir, &specs, Some("fig2-compression"), None).unwrap();
         let meta = fs::read_to_string(dir.join("meta.txt")).unwrap();
         assert!(
@@ -500,7 +513,11 @@ mod tests {
     #[test]
     fn done_records_round_trip_and_clear_ckpts() {
         let dir = tmp("done");
-        let specs = JobGrid::new(1).algorithms([Algorithm::CHAIN]).build();
+        let specs = GridSpec {
+            algorithms: vec![Algorithm::CHAIN],
+            ..GridSpec::default()
+        }
+        .build(1);
         let (store, _) = Store::open(&dir, &specs, None, None).unwrap();
         store.write_ckpt(0, "partial state").unwrap();
         assert_eq!(
@@ -557,7 +574,11 @@ mod tests {
     #[test]
     fn stale_tmp_files_are_swept_on_open_and_never_shadow_records() {
         let dir = tmp("tmpsweep");
-        let specs = JobGrid::new(1).ns([5]).build();
+        let specs = GridSpec {
+            ns: vec![5],
+            ..GridSpec::default()
+        }
+        .build(1);
         let (store, _) = Store::open(&dir, &specs, None, None).unwrap();
         store.write_ckpt(0, "state").unwrap();
         let strays = [
@@ -587,7 +608,11 @@ mod tests {
     #[test]
     fn corrupt_ckpts_are_discarded_not_fatal() {
         let dir = tmp("corrupt_ckpt");
-        let specs = JobGrid::new(1).ns([5]).build();
+        let specs = GridSpec {
+            ns: vec![5],
+            ..GridSpec::default()
+        }
+        .build(1);
         let (store, _) = Store::open(&dir, &specs, None, None).unwrap();
         store.write_ckpt(0, "good body").unwrap();
         let path = dir.join("ckpt").join("job-0.txt");
@@ -606,7 +631,11 @@ mod tests {
     #[test]
     fn failed_records_quarantine_and_clear() {
         let dir = tmp("failed");
-        let specs = JobGrid::new(2).ns([5, 6]).build();
+        let specs = GridSpec {
+            ns: vec![5, 6],
+            ..GridSpec::default()
+        }
+        .build(2);
         let (store, _) = Store::open(&dir, &specs, None, None).unwrap();
         store
             .write_failed(1, "panic: injected\nsecond line")

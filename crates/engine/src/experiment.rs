@@ -5,8 +5,9 @@
 //! everything a sweep needs: the algorithms, Hamiltonians, shapes, the
 //! sweep axes (n, λ, crash scenarios, repetitions), the base seed, the
 //! checkpoint policy and the output sinks. [`ExperimentSpec::parse`] turns
-//! the text into a value, [`ExperimentSpec::jobs`] round-trips it losslessly
-//! through the existing [`JobGrid`] cross-product machinery, and
+//! the text into a value whose grids are [`GridSpec`]s — the type
+//! `sops-cli sweep` builds from its flags — [`ExperimentSpec::jobs`]
+//! expands them into one job list, and
 //! [`ExperimentSpec::to_toml`] serializes the canonical form back out —
 //! `parse(to_toml(spec)) == spec` for every spec.
 //!
@@ -52,7 +53,7 @@ use std::path::PathBuf;
 
 use sops::core::hamiltonian::HamiltonianSpec;
 
-use crate::grid::{assign_ids_and_seeds, Algorithm, CrashSpec, JobGrid, JobSpec, Shape};
+use crate::grid::{assign_ids_and_seeds, Algorithm, CrashSpec, GridSpec, JobSpec, Shape};
 
 /// Every key allowed in a grid section (or at the top level, where the
 /// values act as defaults for all grids).
@@ -840,91 +841,6 @@ fn interpret(doc: &Doc) -> Result<ExperimentSpec, ParseError> {
 // The value types
 // ---------------------------------------------------------------------------
 
-/// One cross-product grid of an experiment: the axes and per-job budgets of
-/// a [`JobGrid`], as plain data.
-///
-/// Defaults match [`JobGrid::new`] exactly: one `chain` job from a line of
-/// 100 particles at λ = 4, 100 000 steps, 100 samples, no burn-in, no
-/// crashes, one repetition.
-#[derive(Clone, Debug, PartialEq)]
-pub struct GridSpec {
-    /// The algorithm axis (`algorithms` key).
-    pub algorithms: Vec<Algorithm>,
-    /// The starting-shape axis (`shapes` key).
-    pub shapes: Vec<Shape>,
-    /// The particle-count axis (`ns` key).
-    pub ns: Vec<usize>,
-    /// The bias axis (`lambdas` key).
-    pub lambdas: Vec<f64>,
-    /// Optional Hamiltonian axis (`hamiltonians` key): expands every
-    /// chain-sampler algorithm across these energies.
-    pub hamiltonians: Option<Vec<HamiltonianSpec>>,
-    /// The crash-scenario axis (`crashes` key); `None` items mean "no
-    /// crashes" and spell `"none"` in files.
-    pub crashes: Vec<Option<CrashSpec>>,
-    /// Repetitions per cell (`reps` key).
-    pub reps: u64,
-    /// Burn-in work units per job (`burnin` key).
-    pub burnin: u64,
-    /// Sampled work units per job (`steps` key).
-    pub steps: u64,
-    /// Perimeter samples per job (`samples` key).
-    pub samples: u64,
-    /// First-hit mode target (`until_alpha` key): stop chain-sampler jobs at
-    /// `p ≤ α·pmin`.
-    pub until_alpha: Option<f64>,
-}
-
-impl Default for GridSpec {
-    fn default() -> GridSpec {
-        GridSpec {
-            algorithms: vec![Algorithm::CHAIN],
-            shapes: vec![Shape::Line],
-            ns: vec![100],
-            lambdas: vec![4.0],
-            hamiltonians: None,
-            crashes: vec![None],
-            reps: 1,
-            burnin: 0,
-            steps: 100_000,
-            samples: 100,
-            until_alpha: None,
-        }
-    }
-}
-
-impl GridSpec {
-    /// The equivalent [`JobGrid`] — the lossless round-trip the format is
-    /// built on. `to_grid(seed).build()` yields exactly the jobs the same
-    /// axes passed to [`JobGrid`]'s builder methods would.
-    ///
-    /// # Panics
-    ///
-    /// Panics when `hamiltonians` is `Some` but empty (as
-    /// [`JobGrid::hamiltonians`] does); the parser rejects empty axes before
-    /// this point.
-    #[must_use]
-    pub fn to_grid(&self, base_seed: u64) -> JobGrid {
-        let mut grid = JobGrid::new(base_seed)
-            .algorithms(self.algorithms.iter().copied())
-            .shapes(self.shapes.iter().copied())
-            .ns(self.ns.iter().copied())
-            .lambdas(self.lambdas.iter().copied())
-            .crashes(self.crashes.iter().copied())
-            .reps(self.reps)
-            .burnin(self.burnin)
-            .steps(self.steps)
-            .samples(self.samples);
-        if let Some(hams) = &self.hamiltonians {
-            grid = grid.hamiltonians(hams.iter().copied());
-        }
-        if let Some(alpha) = self.until_alpha {
-            grid = grid.until_alpha(alpha);
-        }
-        grid
-    }
-}
-
 /// The `[checkpoint]` section: where and how often a sweep checkpoints.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct CheckpointSpec {
@@ -1009,13 +925,13 @@ impl ExperimentSpec {
     /// The resolved job list: every grid's cross product in file order, with
     /// ids and SplitMix child seeds assigned over the concatenation — ready
     /// for [`crate::run_sweep`]. For a single-grid spec this is exactly
-    /// `self.grids[0].to_grid(self.seed).build()`.
+    /// `self.grids[0].build(self.seed)`.
     #[must_use]
     pub fn jobs(&self) -> Vec<JobSpec> {
         let mut jobs: Vec<JobSpec> = self
             .grids
             .iter()
-            .flat_map(|grid| grid.to_grid(self.seed).build())
+            .flat_map(|grid| grid.build(self.seed))
             .collect();
         assign_ids_and_seeds(&mut jobs, self.seed);
         jobs
@@ -1254,14 +1170,16 @@ reps = 2
 "#,
         )
         .unwrap();
-        let by_hand = JobGrid::new(9)
-            .ns([12, 24])
-            .lambdas([2.0, 4.0])
-            .algorithms([Algorithm::CHAIN, Algorithm::Local])
-            .steps(5000)
-            .samples(5)
-            .reps(2)
-            .build();
+        let by_hand = GridSpec {
+            ns: vec![12, 24],
+            lambdas: vec![2.0, 4.0],
+            algorithms: vec![Algorithm::CHAIN, Algorithm::Local],
+            steps: 5000,
+            samples: 5,
+            reps: 2,
+            ..GridSpec::default()
+        }
+        .build(9);
         assert_eq!(spec.jobs(), by_hand);
     }
 

@@ -1,6 +1,6 @@
-//! The sweep description model: [`JobSpec`], [`JobGrid`] and their axes.
+//! The sweep description model: [`JobSpec`], [`GridSpec`] and their axes.
 //!
-//! A sweep is a list of independent [`JobSpec`]s. [`JobGrid`] builds the
+//! A sweep is a list of independent [`JobSpec`]s. [`GridSpec`] builds the
 //! cross product of its axes (algorithm × shape × n × λ × crash × rep) in a
 //! fixed, documented order and assigns each job an id and a
 //! SplitMix-derived child seed (see [`crate::seed`]); hand-built spec lists
@@ -358,19 +358,28 @@ pub fn assign_ids_and_seeds(jobs: &mut [JobSpec], base_seed: u64) {
     }
 }
 
-/// A cross-product sweep description.
+/// A cross-product sweep description: the axes and per-job budgets of a
+/// sweep, as plain data. `sops-cli sweep` builds one from its flags, and
+/// each `[[grid]]` of an experiment file parses into one
+/// ([`crate::experiment`]).
+///
+/// The [`Default`] is one `chain` job from a line of 100 particles at
+/// λ = 4, 100 000 steps, 100 samples, no burn-in, no crashes, one
+/// repetition; set only the fields a sweep varies.
 ///
 /// # Example
 ///
 /// ```
-/// use sops_engine::grid::{Algorithm, JobGrid, Shape};
+/// use sops_engine::grid::{Algorithm, GridSpec, Shape};
 ///
-/// let jobs = JobGrid::new(7)
-///     .ns([20, 40])
-///     .lambdas([2.0, 4.0])
-///     .steps(10_000)
-///     .samples(10)
-///     .build();
+/// let jobs = GridSpec {
+///     ns: vec![20, 40],
+///     lambdas: vec![2.0, 4.0],
+///     steps: 10_000,
+///     samples: 10,
+///     ..GridSpec::default()
+/// }
+/// .build(7);
 /// assert_eq!(jobs.len(), 4);
 /// assert_eq!(jobs[3].id, 3);
 /// assert_eq!((jobs[3].n, jobs[3].lambda), (40, 4.0));
@@ -378,35 +387,44 @@ pub fn assign_ids_and_seeds(jobs: &mut [JobSpec], base_seed: u64) {
 /// assert_eq!(jobs[0].shape, Shape::Line);
 /// assert_ne!(jobs[0].seed, jobs[1].seed);
 /// ```
-#[derive(Clone, Debug)]
-pub struct JobGrid {
-    ns: Vec<usize>,
-    lambdas: Vec<f64>,
-    shapes: Vec<Shape>,
-    algorithms: Vec<Algorithm>,
-    /// When set, expands every chain-sampler algorithm across these
-    /// Hamiltonians (the `--hamiltonian` axis); `None` leaves the
-    /// algorithms' own Hamiltonians untouched.
-    hamiltonians: Option<Vec<HamiltonianSpec>>,
-    crashes: Vec<Option<CrashSpec>>,
-    reps: u64,
-    burnin: u64,
-    steps: u64,
-    samples: u64,
-    until_alpha: Option<f64>,
-    base_seed: u64,
+#[derive(Clone, Debug, PartialEq)]
+pub struct GridSpec {
+    /// The algorithm axis (`algorithms` key).
+    pub algorithms: Vec<Algorithm>,
+    /// The starting-shape axis (`shapes` key).
+    pub shapes: Vec<Shape>,
+    /// The particle-count axis (`ns` key).
+    pub ns: Vec<usize>,
+    /// The bias axis (`lambdas` key).
+    pub lambdas: Vec<f64>,
+    /// Optional Hamiltonian axis (`hamiltonians` key): expands every
+    /// chain-sampler algorithm across these energies (non-chain algorithms
+    /// appear once). `None` leaves the algorithms' own Hamiltonians
+    /// untouched.
+    pub hamiltonians: Option<Vec<HamiltonianSpec>>,
+    /// The crash-scenario axis (`crashes` key); `None` items mean "no
+    /// crashes" and spell `"none"` in files.
+    pub crashes: Vec<Option<CrashSpec>>,
+    /// Repetitions per cell (`reps` key).
+    pub reps: u64,
+    /// Burn-in work units per job (`burnin` key).
+    pub burnin: u64,
+    /// Sampled work units per job (`steps` key).
+    pub steps: u64,
+    /// Perimeter samples per job (`samples` key).
+    pub samples: u64,
+    /// First-hit mode target (`until_alpha` key): stop chain-sampler jobs at
+    /// `p ≤ α·pmin`.
+    pub until_alpha: Option<f64>,
 }
 
-impl JobGrid {
-    /// A grid with one axis value everywhere: chain algorithm, line shape,
-    /// n = 100, λ = 4, 100k steps, 100 samples, no crashes, one rep.
-    #[must_use]
-    pub fn new(base_seed: u64) -> JobGrid {
-        JobGrid {
+impl Default for GridSpec {
+    fn default() -> GridSpec {
+        GridSpec {
+            algorithms: vec![Algorithm::CHAIN],
+            shapes: vec![Shape::Line],
             ns: vec![100],
             lambdas: vec![4.0],
-            shapes: vec![Shape::Line],
-            algorithms: vec![Algorithm::CHAIN],
             hamiltonians: None,
             crashes: vec![None],
             reps: 1,
@@ -414,124 +432,40 @@ impl JobGrid {
             steps: 100_000,
             samples: 100,
             until_alpha: None,
-            base_seed,
         }
     }
+}
 
-    /// Sets the particle-count axis.
-    #[must_use]
-    pub fn ns(mut self, ns: impl IntoIterator<Item = usize>) -> JobGrid {
-        self.ns = ns.into_iter().collect();
-        self
-    }
-
-    /// Sets the bias axis.
-    #[must_use]
-    pub fn lambdas(mut self, lambdas: impl IntoIterator<Item = f64>) -> JobGrid {
-        self.lambdas = lambdas.into_iter().collect();
-        self
-    }
-
-    /// Sets the shape axis.
-    #[must_use]
-    pub fn shapes(mut self, shapes: impl IntoIterator<Item = Shape>) -> JobGrid {
-        self.shapes = shapes.into_iter().collect();
-        self
-    }
-
-    /// Sets the algorithm axis.
-    #[must_use]
-    pub fn algorithms(mut self, algorithms: impl IntoIterator<Item = Algorithm>) -> JobGrid {
-        self.algorithms = algorithms.into_iter().collect();
-        self
-    }
-
-    /// Sets the Hamiltonian axis: every chain-sampler algorithm is expanded
-    /// across these energies (non-chain algorithms are unaffected and appear
-    /// once). Without this call the algorithms' own Hamiltonians are used.
+impl GridSpec {
+    /// Materializes the cross product in the canonical order
+    /// algorithm (× hamiltonian) → shape → n → λ → crash → rep, with ids
+    /// and child seeds of `base_seed` assigned.
     ///
     /// # Panics
     ///
-    /// Panics on an empty axis — it would silently delete every
-    /// chain-sampler job from the sweep.
+    /// Panics when `hamiltonians` is `Some` but empty — it would silently
+    /// delete every chain-sampler job from the sweep.
     #[must_use]
-    pub fn hamiltonians(
-        mut self,
-        hamiltonians: impl IntoIterator<Item = HamiltonianSpec>,
-    ) -> JobGrid {
-        let hamiltonians: Vec<HamiltonianSpec> = hamiltonians.into_iter().collect();
-        assert!(
-            !hamiltonians.is_empty(),
-            "the hamiltonians axis must not be empty"
-        );
-        self.hamiltonians = Some(hamiltonians);
-        self
-    }
-
-    /// Sets the crash-scenario axis (`None` = no crashes).
-    #[must_use]
-    pub fn crashes(mut self, crashes: impl IntoIterator<Item = Option<CrashSpec>>) -> JobGrid {
-        self.crashes = crashes.into_iter().collect();
-        self
-    }
-
-    /// Sets the repetition count per cell.
-    #[must_use]
-    pub fn reps(mut self, reps: u64) -> JobGrid {
-        self.reps = reps;
-        self
-    }
-
-    /// Sets the burn-in work per job.
-    #[must_use]
-    pub fn burnin(mut self, burnin: u64) -> JobGrid {
-        self.burnin = burnin;
-        self
-    }
-
-    /// Sets the sampled work per job.
-    #[must_use]
-    pub fn steps(mut self, steps: u64) -> JobGrid {
-        self.steps = steps;
-        self
-    }
-
-    /// Sets the number of perimeter samples per job.
-    #[must_use]
-    pub fn samples(mut self, samples: u64) -> JobGrid {
-        self.samples = samples;
-        self
-    }
-
-    /// Enables first-hit mode: chain jobs stop at `p ≤ α·pmin`.
-    #[must_use]
-    pub fn until_alpha(mut self, alpha: f64) -> JobGrid {
-        self.until_alpha = Some(alpha);
-        self
-    }
-
-    /// Materializes the cross product in the canonical order
-    /// algorithm (× hamiltonian) → shape → n → λ → crash → rep, with ids
-    /// and child seeds assigned.
-    #[must_use]
-    pub fn build(&self) -> Vec<JobSpec> {
+    pub fn build(&self, base_seed: u64) -> Vec<JobSpec> {
         // Expand the optional Hamiltonian axis into the algorithm axis so
         // the cross product below stays one loop nest. Chain samplers fan
         // out per Hamiltonian; other algorithms appear once.
         let algorithms: Vec<Algorithm> = match &self.hamiltonians {
             None => self.algorithms.clone(),
-            Some(hams) => self
-                .algorithms
-                .iter()
-                .flat_map(|&a| {
-                    let hams: &[HamiltonianSpec] = if a.is_chain_sampler() {
-                        hams
-                    } else {
-                        &[HamiltonianSpec::Edges]
-                    };
-                    hams.iter().map(move |&h| a.with_hamiltonian(h))
-                })
-                .collect(),
+            Some(hams) => {
+                assert!(!hams.is_empty(), "the hamiltonians axis must not be empty");
+                self.algorithms
+                    .iter()
+                    .flat_map(|&a| {
+                        let hams: &[HamiltonianSpec] = if a.is_chain_sampler() {
+                            hams
+                        } else {
+                            &[HamiltonianSpec::Edges]
+                        };
+                        hams.iter().map(move |&h| a.with_hamiltonian(h))
+                    })
+                    .collect()
+            }
         };
         let mut jobs = Vec::new();
         for &algorithm in &algorithms {
@@ -560,7 +494,7 @@ impl JobGrid {
                 }
             }
         }
-        assign_ids_and_seeds(&mut jobs, self.base_seed);
+        assign_ids_and_seeds(&mut jobs, base_seed);
         jobs
     }
 }
@@ -571,9 +505,14 @@ mod tests {
 
     #[test]
     fn grid_order_is_canonical_and_seeds_stable() {
-        let grid = JobGrid::new(1).ns([10, 20]).lambdas([2.0, 3.0]).reps(2);
-        let a = grid.build();
-        let b = grid.build();
+        let grid = GridSpec {
+            ns: vec![10, 20],
+            lambdas: vec![2.0, 3.0],
+            reps: 2,
+            ..GridSpec::default()
+        };
+        let a = grid.build(1);
+        let b = grid.build(1);
         assert_eq!(a.len(), 8);
         assert_eq!(a, b, "building twice must be identical");
         assert_eq!(a[0].rep, 0);
@@ -631,10 +570,15 @@ mod tests {
 
     #[test]
     fn hamiltonian_axis_expands_chain_samplers_only() {
-        let jobs = JobGrid::new(1)
-            .algorithms([Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local])
-            .hamiltonians([HamiltonianSpec::Edges, HamiltonianSpec::Alignment { q: 3 }])
-            .build();
+        let jobs = GridSpec {
+            algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local],
+            hamiltonians: Some(vec![
+                HamiltonianSpec::Edges,
+                HamiltonianSpec::Alignment { q: 3 },
+            ]),
+            ..GridSpec::default()
+        }
+        .build(1);
         let algos: Vec<String> = jobs.iter().map(|j| j.algorithm.to_string()).collect();
         assert_eq!(
             algos,
@@ -647,9 +591,11 @@ mod tests {
             ]
         );
         // Without the axis, the algorithms' own Hamiltonians survive.
-        let jobs = JobGrid::new(1)
-            .algorithms([Algorithm::Chain(HamiltonianSpec::Alignment { q: 4 })])
-            .build();
+        let jobs = GridSpec {
+            algorithms: vec![Algorithm::Chain(HamiltonianSpec::Alignment { q: 4 })],
+            ..GridSpec::default()
+        }
+        .build(1);
         assert_eq!(
             jobs[0].algorithm.hamiltonian(),
             Some(HamiltonianSpec::Alignment { q: 4 })
@@ -660,7 +606,11 @@ mod tests {
     #[test]
     #[should_panic(expected = "must not be empty")]
     fn empty_hamiltonian_axis_panics_instead_of_deleting_jobs() {
-        let _ = JobGrid::new(1).hamiltonians(Vec::new());
+        let _ = GridSpec {
+            hamiltonians: Some(Vec::new()),
+            ..GridSpec::default()
+        }
+        .build(1);
     }
 
     #[test]

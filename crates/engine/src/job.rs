@@ -18,6 +18,7 @@ use sops::core::hamiltonian::{Alignment, EdgeCount, Hamiltonian, HamiltonianSpec
 use sops::core::snapshot::{self, SnapshotError};
 use sops::core::{CompressionChain, KmcChain, LocalProbes, LocalRunner, ShardedLocalRunner};
 use sops::system::{metrics, ParticleSystem};
+use sops_telemetry::json::quote;
 use sops_telemetry::{Live, Registry, Sheet};
 
 use crate::ablation::AblationChain;
@@ -26,7 +27,7 @@ use crate::fault::{self, FaultPlan};
 use crate::grid::{Algorithm, JobSpec, ORIENT_SALT};
 use crate::result::{JobResult, StepRecord};
 use crate::shard::PoolExecutor;
-use crate::sink::{json_str, EventSink};
+use crate::sink::EventSink;
 
 /// How a job ended.
 pub(crate) enum JobOutcome {
@@ -56,7 +57,7 @@ pub(crate) struct JobContext<'a> {
     pub(crate) faults: Option<&'a FaultPlan>,
     /// Worker count for intra-run sharding of `local-sharded` jobs. Purely
     /// an execution detail — results and checkpoints are byte-identical at
-    /// any value; 1 runs the unsharded reference path.
+    /// any value; 1 runs the sharded executor inline on the job's thread.
     pub(crate) shards: usize,
 }
 
@@ -133,6 +134,12 @@ const KINDS: [(&str, Restore); 7] = [
     ("local-sharded", |t| boxed(ShardedLocalRunner::restore(t))),
     ("ablation", |t| boxed(AblationChain::restore(t))),
 ];
+
+/// Every simulator kind, in [`KINDS`] order — also the metric families a
+/// sweep can record.
+pub(crate) fn kinds() -> impl Iterator<Item = &'static str> {
+    KINDS.iter().map(|(kind, _)| *kind)
+}
 
 fn restore(kind: &str, text: &str) -> Result<Box<dyn Simulator>, SnapshotError> {
     let (_, restore) = KINDS
@@ -386,11 +393,7 @@ impl Simulator for ShardedLocalRunner {
     }
 
     fn advance(&mut self, delta: u64, shards: usize) {
-        if shards > 1 {
-            self.run_rounds_with(delta, &PoolExecutor::new(shards));
-        } else {
-            self.run_rounds(delta);
-        }
+        self.run_rounds_with(delta, &PoolExecutor::new(shards));
     }
 
     fn perimeter(&mut self) -> u64 {
@@ -668,7 +671,7 @@ pub(crate) fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> io::Result<JobOut
                 ctx.sink.emit(&format!(
                     "\"event\":\"ckpt_corrupt\",\"job\":{},\"kind\":\"ckpt\",\"reason\":{}",
                     spec.id,
-                    json_str(&e.to_string())
+                    quote(&e.to_string())
                 ));
                 None
             }
@@ -677,7 +680,7 @@ pub(crate) fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> io::Result<JobOut
             ctx.sink.emit(&format!(
                 "\"event\":\"ckpt_corrupt\",\"job\":{},\"kind\":\"ckpt\",\"reason\":{}",
                 spec.id,
-                json_str(&reason)
+                quote(&reason)
             ));
             None
         }
@@ -698,8 +701,8 @@ pub(crate) fn run_job(spec: &JobSpec, ctx: &JobContext<'_>) -> io::Result<JobOut
                 "\"event\":\"job_start\",\"job\":{},\"algorithm\":{},\"shape\":{},\
                  \"n\":{},\"lambda\":{},\"seed\":{}",
                 spec.id,
-                json_str(&spec.algorithm.to_string()),
-                json_str(&spec.shape.to_string()),
+                quote(&spec.algorithm.to_string()),
+                quote(&spec.shape.to_string()),
                 spec.n,
                 spec.lambda,
                 spec.seed

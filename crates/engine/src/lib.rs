@@ -8,9 +8,10 @@
 //! fan-out the harness used to hand-roll:
 //!
 //! * **Sweep model** ([`grid`]) — a sweep is a list of independent
-//!   [`grid::JobSpec`]s; [`grid::JobGrid`] builds cross products over
-//!   (algorithm (× Hamiltonian) × shape × n × λ × crash scenario ×
-//!   repetition).
+//!   [`grid::JobSpec`]s; a [`grid::GridSpec`] — plain data, built alike
+//!   from `sops-cli sweep` flags and experiment files — expands into the
+//!   cross product over (algorithm (× Hamiltonian) × shape × n × λ ×
+//!   crash scenario × repetition).
 //! * **Worker pool** ([`pool`]) — a fixed-size `std::thread` pool draining
 //!   a shared queue. No external dependencies.
 //! * **Intra-run sharding** ([`shard`]) — the [`shard::PoolExecutor`] runs
@@ -26,7 +27,7 @@
 //!   with online mean/variance aggregation from `sops_analysis`.
 //! * **Declarative experiments** ([`experiment`]) — sweeps as *data*: a
 //!   documented TOML-subset file format (`sops-cli run experiment.toml`)
-//!   that round-trips losslessly into [`grid::JobGrid`]. The format
+//!   whose grids parse into [`grid::GridSpec`]s. The format
 //!   reference is `docs/EXPERIMENTS.md`.
 //!
 //! # Determinism: the seeding design
@@ -75,10 +76,16 @@
 //! # Example
 //!
 //! ```
-//! use sops_engine::{EngineConfig, JobGrid};
+//! use sops_engine::{EngineConfig, GridSpec};
 //!
-//! let grid = JobGrid::new(7).ns([12]).lambdas([2.0, 4.0]).steps(2_000).samples(4);
-//! let report = sops_engine::run_grid(&grid, &EngineConfig {
+//! let grid = GridSpec {
+//!     ns: vec![12],
+//!     lambdas: vec![2.0, 4.0],
+//!     steps: 2_000,
+//!     samples: 4,
+//!     ..GridSpec::default()
+//! };
+//! let report = sops_engine::run_sweep(grid.build(7), &EngineConfig {
 //!     threads: 2,
 //!     ..EngineConfig::default()
 //! })
@@ -106,12 +113,12 @@ pub mod telemetry;
 pub mod testkit;
 
 pub use checkpoint::CheckpointConfig;
-pub use experiment::{CheckpointSpec, ExperimentSpec, GridSpec};
+pub use experiment::{CheckpointSpec, ExperimentSpec};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, POINTS as FAULT_POINTS};
-pub use grid::{Algorithm, CrashSpec, JobGrid, JobSpec, Shape, ORIENT_SALT};
+pub use grid::{Algorithm, CrashSpec, GridSpec, JobSpec, Shape, ORIENT_SALT};
 pub use pool::{default_threads, map_parallel, map_parallel_isolated};
 pub use result::{JobFailure, JobResult, StepRecord};
-pub use run::{run_grid, run_sweep, EngineConfig, SweepReport, SweepSession};
+pub use run::{run_sweep, EngineConfig, SweepReport, SweepSession};
 pub use shard::PoolExecutor;
 pub use sink::EventSink;
 pub use sops::core::hamiltonian::HamiltonianSpec;

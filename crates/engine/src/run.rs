@@ -10,15 +10,16 @@ use std::time::Instant;
 
 use sops::analysis::table::{fmt_f64, Table};
 use sops::system::metrics;
+use sops_telemetry::json::quote;
 use sops_telemetry::{Live, Registry, Sheet};
 
 use crate::checkpoint::{CheckpointConfig, Store};
 use crate::fault::{FaultPlan, FaultSpec};
-use crate::grid::{JobGrid, JobSpec};
+use crate::grid::JobSpec;
 use crate::job::{run_job, JobContext, JobOutcome};
 use crate::pool::{default_threads, map_parallel};
 use crate::result::{JobFailure, JobResult};
-use crate::sink::{json_str, EventSink};
+use crate::sink::EventSink;
 use crate::telemetry::{finalize_rates, heartbeat, TelemetryConfig};
 
 /// How a sweep executes.
@@ -60,8 +61,8 @@ pub struct EngineConfig {
     /// checkerboard-synchronous local algorithm, `sops_core::sharded`).
     /// Like [`EngineConfig::threads`], a pure execution detail: results,
     /// checkpoints and events are byte-identical at any value. 1 (the
-    /// default) runs each job single-threaded on the unsharded reference
-    /// path; checkpoints carry no shard count and resume portably across
+    /// default) runs each job's sharded rounds inline on its worker
+    /// thread; checkpoints carry no shard count and resume portably across
     /// values.
     pub shards: usize,
 }
@@ -301,7 +302,7 @@ impl SweepSession {
         if let Some(experiment) = &cfg.experiment {
             sink.emit(&format!(
                 "\"event\":\"sweep_start\",\"experiment\":{},\"jobs\":{}",
-                json_str(experiment),
+                quote(experiment),
                 specs.len()
             ));
         }
@@ -323,8 +324,8 @@ impl SweepSession {
             let job = d.job.map_or(String::new(), |id| format!("\"job\":{id},"));
             sink.emit(&format!(
                 "\"event\":\"ckpt_corrupt\",{job}\"kind\":\"done\",\"file\":{},\"reason\":{}",
-                json_str(&d.file),
-                json_str(&d.reason)
+                quote(&d.file),
+                quote(&d.reason)
             ));
         }
         let reused = done.len();
@@ -345,7 +346,7 @@ impl SweepSession {
                 } else {
                     sink.emit(&format!(
                         "\"event\":\"job_quarantined\",\"job\":{id},\"error\":{}",
-                        json_str(&error)
+                        quote(&error)
                     ));
                     quarantined.push(JobFailure {
                         job: id,
@@ -499,14 +500,14 @@ impl SweepSession {
                     self.sink.emit(&format!(
                         "\"event\":\"failed_record_error\",\"job\":{},\"error\":{}",
                         f.job,
-                        json_str(&e.to_string())
+                        quote(&e.to_string())
                     ));
                 }
             }
             self.sink.emit(&format!(
                 "\"event\":\"job_failed\",\"job\":{},\"error\":{}",
                 f.job,
-                json_str(&f.error)
+                quote(&f.error)
             ));
         }
         let fresh_failures = failures.len() as u64;
@@ -575,7 +576,8 @@ impl SweepSession {
     }
 }
 
-/// Runs a sweep over `specs` (typically from [`JobGrid::build`]).
+/// Runs a sweep over `specs` (typically from [`crate::GridSpec::build`] or
+/// [`crate::ExperimentSpec::jobs`]).
 ///
 /// Jobs already recorded as done in the checkpoint directory are reused;
 /// jobs with a mid-flight checkpoint resume from it; the rest start fresh.
@@ -623,13 +625,4 @@ pub fn run_sweep(specs: Vec<JobSpec>, cfg: &EngineConfig) -> io::Result<SweepRep
         map_parallel(cfg.threads, positions, worker);
     }
     session.finish()
-}
-
-/// Convenience: build the grid and run it.
-///
-/// # Errors
-///
-/// Same as [`run_sweep`].
-pub fn run_grid(grid: &JobGrid, cfg: &EngineConfig) -> io::Result<SweepReport> {
-    run_sweep(grid.build(), cfg)
 }

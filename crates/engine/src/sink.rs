@@ -153,36 +153,9 @@ impl EventSink {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document (adds the quotes).
-#[must_use]
-pub fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn json_str_escapes_specials() {
-        assert_eq!(json_str("plain"), "\"plain\"");
-        assert_eq!(json_str("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
-        assert_eq!(json_str("\u{1}"), "\"\\u0001\"");
-    }
 
     #[test]
     fn sink_writes_one_line_per_event() {
@@ -191,7 +164,10 @@ mod tests {
         let path = dir.join("events.jsonl");
         let sink = EventSink::to_path(&path).unwrap();
         assert!(sink.is_enabled());
-        sink.emit(&format!("\"event\":{},\"job\":3", json_str("sample")));
+        sink.emit(&format!(
+            "\"event\":{},\"job\":3",
+            sops_telemetry::json::quote("sample")
+        ));
         sink.emit("\"event\":\"done\"");
         let text = std::fs::read_to_string(&path).unwrap();
         let lines: Vec<&str> = text.lines().collect();

@@ -117,16 +117,6 @@ pub(crate) fn heartbeat(
     }
 }
 
-/// The metric families a sweep can record, keyed by `Sim::kind()`.
-const FAMILIES: [&str; 6] = [
-    "chain",
-    "chain-align",
-    "kmc",
-    "kmc-align",
-    "local",
-    "ablation",
-];
-
 /// Derives the rate gauges from the raw counters, in place. Called once at
 /// sweep end, so `metrics.json` carries BENCH-style numbers directly:
 ///
@@ -135,7 +125,7 @@ const FAMILIES: [&str; 6] = [
 /// * `rate.<family>.acceptance` — accepted moves over session work units,
 ///   the `StepRecord` acceptance rate aggregated across the sweep's jobs.
 pub(crate) fn finalize_rates(sheet: &mut Sheet) {
-    for family in FAMILIES {
+    for family in crate::job::kinds() {
         let work = sheet.counter(&format!("{family}.work"));
         let step_ns = sheet.counter(&format!("time.step.{family}_ns"));
         if work > 0 && step_ns > 0 {

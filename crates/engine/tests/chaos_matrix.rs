@@ -14,7 +14,8 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 
 use sops_engine::{
-    run_grid, Algorithm, CheckpointConfig, EngineConfig, FaultKind, FaultSpec, JobGrid, SweepReport,
+    run_sweep, Algorithm, CheckpointConfig, EngineConfig, FaultKind, FaultSpec, GridSpec, JobSpec,
+    SweepReport,
 };
 
 fn tmp_dir(name: &str) -> PathBuf {
@@ -25,25 +26,31 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 /// Three jobs across all three simulator families — enough diversity that
 /// isolation failures (a panic poisoning a sibling) would show up.
-fn matrix_grid() -> JobGrid {
-    JobGrid::new(2016)
-        .ns([10])
-        .lambdas([3.0])
-        .algorithms([Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local])
-        .steps(1_200)
-        .burnin(200)
-        .samples(2)
+fn matrix_grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![10],
+        lambdas: vec![3.0],
+        algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local],
+        steps: 1_200,
+        burnin: 200,
+        samples: 2,
+        ..GridSpec::default()
+    }
+    .build(2016)
 }
 
 /// One chain job, small enough to re-run hundreds of times in the
 /// torn-file loops.
-fn single_grid() -> JobGrid {
-    JobGrid::new(7)
-        .ns([10])
-        .lambdas([3.0])
-        .steps(600)
-        .burnin(200)
-        .samples(2)
+fn single_grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![10],
+        lambdas: vec![3.0],
+        steps: 600,
+        burnin: 200,
+        samples: 2,
+        ..GridSpec::default()
+    }
+    .build(7)
 }
 
 fn cfg(dir: &Path, threads: usize) -> EngineConfig {
@@ -97,7 +104,7 @@ struct Reference {
 
 fn reference(name: &str) -> Reference {
     let dir = tmp_dir(&format!("ref_{name}"));
-    let report = run_grid(&matrix_grid(), &cfg(&dir, 2)).unwrap();
+    let report = run_sweep(matrix_grid(), &cfg(&dir, 2)).unwrap();
     assert!(report.is_complete() && report.failed.is_empty());
     let reference = Reference {
         csv: report.to_table().to_csv(),
@@ -126,7 +133,7 @@ fn fault_matrix_isolates_fails_and_recovers_byte_identically() {
 
                 let mut broken = cfg(&dir, threads);
                 broken.faults = Some(FaultSpec::new().with(point, Some(1), 1..=u64::MAX, kind));
-                let degraded = run_grid(&matrix_grid(), &broken).unwrap();
+                let degraded = run_sweep(matrix_grid(), &broken).unwrap();
                 assert!(!degraded.interrupted, "{label}");
                 assert_eq!(degraded.results.len(), 2, "{label}: healthy jobs finish");
                 assert_eq!(degraded.failed.len(), 1, "{label}");
@@ -143,7 +150,7 @@ fn fault_matrix_isolates_fails_and_recovers_byte_identically() {
 
                 let mut retry = cfg(&dir, threads);
                 retry.retry_failed = true;
-                let recovered = run_grid(&matrix_grid(), &retry).unwrap();
+                let recovered = run_sweep(matrix_grid(), &retry).unwrap();
                 assert!(recovered.is_complete(), "{label}");
                 assert!(recovered.failed.is_empty(), "{label}");
                 assert_eq!(counter(&recovered, "job.retried"), Some(1.0), "{label}");
@@ -172,7 +179,7 @@ fn sink_emit_io_faults_degrade_the_stream_not_the_sweep() {
         let dir = tmp_dir(&format!("sink_io_{threads}"));
         let mut broken = cfg(&dir, threads);
         broken.faults = Some(FaultSpec::new().with("sink.emit", None, 1..=u64::MAX, FaultKind::Io));
-        let report = run_grid(&matrix_grid(), &broken).unwrap();
+        let report = run_sweep(matrix_grid(), &broken).unwrap();
         assert!(report.is_complete(), "x{threads}");
         assert!(report.failed.is_empty(), "x{threads}");
         assert!(report.sink_errors > 0, "x{threads}");
@@ -191,14 +198,14 @@ fn sink_emit_panic_is_isolated_and_recoverable() {
     let dir = tmp_dir("sink_panic");
     let mut broken = cfg(&dir, 1);
     broken.faults = Some(FaultSpec::new().with("sink.emit", None, 1..=1, FaultKind::Panic));
-    let degraded = run_grid(&matrix_grid(), &broken).unwrap();
+    let degraded = run_sweep(matrix_grid(), &broken).unwrap();
     assert_eq!(degraded.failed.len(), 1);
     assert_eq!(degraded.failed[0].job, 0);
     assert!(degraded.failed[0].error.starts_with("panic:"));
 
     let mut retry = cfg(&dir, 1);
     retry.retry_failed = true;
-    let recovered = run_grid(&matrix_grid(), &retry).unwrap();
+    let recovered = run_sweep(matrix_grid(), &retry).unwrap();
     assert!(recovered.is_complete() && recovered.failed.is_empty());
     assert_eq!(recovered.to_table().to_csv(), reference.csv);
     assert_eq!(job_done_lines(&dir), reference.job_done);
@@ -215,15 +222,15 @@ fn meta_open_faults_fail_the_sweep_cleanly() {
 
     let mut broken = cfg(&dir, 2);
     broken.faults = Some(FaultSpec::new().with("meta.open", None, 1..=1, FaultKind::Io));
-    let err = run_grid(&matrix_grid(), &broken).unwrap_err();
+    let err = run_sweep(matrix_grid(), &broken).unwrap_err();
     assert!(err.to_string().contains("injected fault"), "{err}");
 
     let mut panicking = cfg(&dir, 2);
     panicking.faults = Some(FaultSpec::new().with("meta.open", None, 1..=1, FaultKind::Panic));
-    let caught = catch_unwind(AssertUnwindSafe(|| run_grid(&matrix_grid(), &panicking)));
+    let caught = catch_unwind(AssertUnwindSafe(|| run_sweep(matrix_grid(), &panicking)));
     assert!(caught.is_err(), "a meta.open panic must propagate");
 
-    let clean = run_grid(&matrix_grid(), &cfg(&dir, 2)).unwrap();
+    let clean = run_sweep(matrix_grid(), &cfg(&dir, 2)).unwrap();
     assert!(clean.is_complete() && clean.failed.is_empty());
     assert_eq!(clean.to_table().to_csv(), reference.csv);
     assert_eq!(done_files(&dir), reference.done_files);
@@ -237,8 +244,8 @@ fn meta_open_faults_fail_the_sweep_cleanly() {
 #[test]
 fn torn_ckpt_files_demote_to_recompute_at_every_cut() {
     let grid = single_grid();
-    let ref_csv = run_grid(
-        &grid,
+    let ref_csv = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -250,8 +257,8 @@ fn torn_ckpt_files_demote_to_recompute_at_every_cut() {
 
     let dir = tmp_dir("torn_ckpt");
     let run = |stop: Option<u64>| {
-        run_grid(
-            &grid,
+        run_sweep(
+            grid.clone(),
             &EngineConfig {
                 threads: 1,
                 checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 250)),
@@ -294,8 +301,8 @@ fn torn_done_records_recompute_at_every_cut() {
     let grid = single_grid();
     let dir = tmp_dir("torn_done");
     let run = || {
-        run_grid(
-            &grid,
+        run_sweep(
+            grid.clone(),
             &EngineConfig {
                 threads: 1,
                 checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 250)),
@@ -344,11 +351,11 @@ fn truncated_meta_refuses_to_resume() {
         checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 250)),
         ..EngineConfig::default()
     };
-    run_grid(&grid, &cfg).unwrap();
+    run_sweep(grid.clone(), &cfg).unwrap();
     let meta_path = dir.join("ckpt").join("meta.txt");
     let full = std::fs::read(&meta_path).unwrap();
     std::fs::write(&meta_path, &full[..full.len() / 2]).unwrap();
-    let err = run_grid(&grid, &cfg).unwrap_err();
+    let err = run_sweep(grid.clone(), &cfg).unwrap_err();
     assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -364,13 +371,13 @@ fn quarantined_jobs_are_skipped_until_retry_failed() {
     let mut broken = cfg(&dir, 2);
     broken.faults =
         Some(FaultSpec::new().with("job.step", Some(1), 1..=u64::MAX, FaultKind::Panic));
-    let degraded = run_grid(&matrix_grid(), &broken).unwrap();
+    let degraded = run_sweep(matrix_grid(), &broken).unwrap();
     assert_eq!(degraded.failed.len(), 1);
     assert!(degraded.failed[0].error.starts_with("panic:"));
 
     // Resume with the fault STILL armed: the job is quarantined, never
     // re-entered, so nothing injects.
-    let rerun = run_grid(&matrix_grid(), &broken).unwrap();
+    let rerun = run_sweep(matrix_grid(), &broken).unwrap();
     assert_eq!(rerun.failed.len(), 1);
     assert!(rerun.failed[0].quarantined);
     assert_eq!(rerun.reused, 2);
@@ -381,7 +388,7 @@ fn quarantined_jobs_are_skipped_until_retry_failed() {
     // retry_failed (fault disarmed) recovers to the reference bytes.
     let mut retry = cfg(&dir, 2);
     retry.retry_failed = true;
-    let recovered = run_grid(&matrix_grid(), &retry).unwrap();
+    let recovered = run_sweep(matrix_grid(), &retry).unwrap();
     assert!(recovered.is_complete() && recovered.failed.is_empty());
     assert_eq!(counter(&recovered, "job.retried"), Some(1.0));
     assert_eq!(recovered.to_table().to_csv(), reference.csv);
@@ -399,17 +406,20 @@ fn quarantined_jobs_are_skipped_until_retry_failed() {
 #[test]
 fn sharded_job_panic_is_quarantined_and_recovers_byte_identically() {
     let sharded_grid = || {
-        JobGrid::new(4242)
-            .ns([24])
-            .lambdas([3.0])
-            .algorithms([Algorithm::CHAIN, Algorithm::LocalSharded, Algorithm::Local])
-            .steps(1_200)
-            .burnin(200)
-            .samples(2)
+        GridSpec {
+            ns: vec![24],
+            lambdas: vec![3.0],
+            algorithms: vec![Algorithm::CHAIN, Algorithm::LocalSharded, Algorithm::Local],
+            steps: 1_200,
+            burnin: 200,
+            samples: 2,
+            ..GridSpec::default()
+        }
+        .build(4242)
     };
-    // Reference: unsharded (shards = 1 runs the flat reference path).
+    // Reference: one shard worker (the sharded executor, run inline).
     let ref_dir = tmp_dir("shard_ref");
-    let reference = run_grid(&sharded_grid(), &cfg(&ref_dir, 2)).unwrap();
+    let reference = run_sweep(sharded_grid(), &cfg(&ref_dir, 2)).unwrap();
     assert!(reference.is_complete() && reference.failed.is_empty());
     let ref_csv = reference.to_table().to_csv();
     let ref_done = done_files(&ref_dir);
@@ -424,7 +434,7 @@ fn sharded_job_panic_is_quarantined_and_recovers_byte_identically() {
     broken.shards = 2;
     broken.faults =
         Some(FaultSpec::new().with("job.step", Some(1), 1..=u64::MAX, FaultKind::Panic));
-    let degraded = run_grid(&sharded_grid(), &broken).unwrap();
+    let degraded = run_sweep(sharded_grid(), &broken).unwrap();
     assert!(!degraded.interrupted);
     assert_eq!(degraded.results.len(), 2, "healthy jobs must finish");
     assert_eq!(degraded.failed.len(), 1);
@@ -435,11 +445,11 @@ fn sharded_job_panic_is_quarantined_and_recovers_byte_identically() {
         "the sharded job's failure must be durably quarantined"
     );
 
-    // Recover, still sharded: byte-identical to the unsharded reference.
+    // Recover, still sharded: byte-identical to the one-worker reference.
     let mut retry = cfg(&dir, 2);
     retry.shards = 2;
     retry.retry_failed = true;
-    let recovered = run_grid(&sharded_grid(), &retry).unwrap();
+    let recovered = run_sweep(sharded_grid(), &retry).unwrap();
     assert!(recovered.is_complete() && recovered.failed.is_empty());
     assert_eq!(counter(&recovered, "job.retried"), Some(1.0));
     assert_eq!(recovered.to_table().to_csv(), ref_csv);
@@ -455,8 +465,8 @@ fn sharded_job_panic_is_quarantined_and_recovers_byte_identically() {
 fn panic_isolation_without_a_store() {
     let dir = tmp_dir("storeless");
     std::fs::create_dir_all(&dir).unwrap();
-    let report = run_grid(
-        &matrix_grid(),
+    let report = run_sweep(
+        matrix_grid(),
         &EngineConfig {
             threads: 2,
             events_path: Some(dir.join("events.jsonl")),
@@ -487,8 +497,8 @@ fn panic_isolation_without_a_store() {
 #[test]
 fn transient_ckpt_write_errors_are_retried_invisibly() {
     let grid = single_grid();
-    let ref_csv = run_grid(
-        &grid,
+    let ref_csv = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -499,8 +509,8 @@ fn transient_ckpt_write_errors_are_retried_invisibly() {
     .to_csv();
 
     let dir = tmp_dir("transient");
-    let report = run_grid(
-        &grid,
+    let report = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 250)),

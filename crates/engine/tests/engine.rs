@@ -4,8 +4,9 @@
 use std::path::PathBuf;
 
 use sops::prelude::*;
-use sops_engine::ablation::Guards;
-use sops_engine::{run_grid, Algorithm, CheckpointConfig, EngineConfig, JobGrid, Shape};
+use sops_engine::ablation::{AblationChain, Guards};
+use sops_engine::testkit::fnv;
+use sops_engine::{run_sweep, Algorithm, CheckpointConfig, EngineConfig, GridSpec, JobSpec, Shape};
 
 fn tmp_dir(name: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("sops_engine_it_{name}"));
@@ -15,35 +16,38 @@ fn tmp_dir(name: &str) -> PathBuf {
 
 /// A small but diverse grid: all simulators (including the rejection-free
 /// sampler) plus an ablated chain, two biases, crash scenario included.
-fn mixed_grid() -> JobGrid {
-    JobGrid::new(2016)
-        .ns([12])
-        .lambdas([2.0, 4.0])
-        .algorithms([
+fn mixed_grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![12],
+        lambdas: vec![2.0, 4.0],
+        algorithms: vec![
             Algorithm::CHAIN,
             Algorithm::CHAIN_KMC,
             Algorithm::Local,
             Algorithm::Ablation(Guards::without_properties()),
-        ])
-        .shapes([Shape::Line])
-        .steps(3_000)
-        .burnin(500)
-        .samples(6)
+        ],
+        shapes: vec![Shape::Line],
+        steps: 3_000,
+        burnin: 500,
+        samples: 6,
+        ..GridSpec::default()
+    }
+    .build(2016)
 }
 
 #[test]
 fn one_and_four_threads_produce_byte_identical_results() {
     let grid = mixed_grid();
-    let single = run_grid(
-        &grid,
+    let single = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
         },
     )
     .unwrap();
-    let pooled = run_grid(
-        &grid,
+    let pooled = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 4,
             ..EngineConfig::default()
@@ -60,8 +64,8 @@ fn one_and_four_threads_produce_byte_identical_results() {
 #[test]
 fn interrupted_and_resumed_sweep_matches_uninterrupted() {
     let grid = mixed_grid();
-    let reference = run_grid(
-        &grid,
+    let reference = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 2,
             ..EngineConfig::default()
@@ -82,10 +86,10 @@ fn interrupted_and_resumed_sweep_matches_uninterrupted() {
 
     // "Kill" the sweep deterministically after two checkpoints, possibly
     // repeatedly, then let it run to completion.
-    let first = run_grid(&grid, &checkpointed(Some(2))).unwrap();
+    let first = run_sweep(grid.clone(), &checkpointed(Some(2))).unwrap();
     assert!(first.interrupted);
     assert!(!first.is_complete());
-    let resumed = run_grid(&grid, &checkpointed(None)).unwrap();
+    let resumed = run_sweep(grid.clone(), &checkpointed(None)).unwrap();
     assert!(resumed.is_complete());
 
     assert_eq!(resumed.results, reference.results);
@@ -104,8 +108,8 @@ fn interrupted_and_resumed_sweep_matches_uninterrupted() {
     }
 
     // Running once more reuses every done-record without re-simulating.
-    let reused = run_grid(&grid, &checkpointed(None)).unwrap();
-    assert_eq!(reused.reused, grid.build().len());
+    let reused = run_sweep(grid.clone(), &checkpointed(None)).unwrap();
+    assert_eq!(reused.reused, grid.len());
     assert_eq!(reused.results, reference.results);
 
     let _ = std::fs::remove_dir_all(&dir);
@@ -119,13 +123,25 @@ fn checkpoint_dir_rejects_a_different_sweep() {
         checkpoint: Some(CheckpointConfig::new(grid_dir, 1_000)),
         ..EngineConfig::default()
     };
-    run_grid(
-        &JobGrid::new(1).ns([8]).steps(100).samples(1),
+    run_sweep(
+        GridSpec {
+            ns: vec![8],
+            steps: 100,
+            samples: 1,
+            ..GridSpec::default()
+        }
+        .build(1),
         &cfg(dir.clone()),
     )
     .unwrap();
-    let err = run_grid(
-        &JobGrid::new(2).ns([9]).steps(100).samples(1),
+    let err = run_sweep(
+        GridSpec {
+            ns: vec![9],
+            steps: 100,
+            samples: 1,
+            ..GridSpec::default()
+        }
+        .build(2),
         &cfg(dir.clone()),
     )
     .unwrap_err();
@@ -135,14 +151,17 @@ fn checkpoint_dir_rejects_a_different_sweep() {
 
 #[test]
 fn first_hit_mode_matches_run_until_compressed() {
-    let grid = JobGrid::new(5)
-        .ns([15])
-        .lambdas([5.0])
-        .steps(2_000_000)
-        .samples(0)
-        .until_alpha(2.5);
-    let report = run_grid(
-        &grid,
+    let grid = GridSpec {
+        ns: vec![15],
+        lambdas: vec![5.0],
+        steps: 2_000_000,
+        samples: 0,
+        until_alpha: Some(2.5),
+        ..GridSpec::default()
+    }
+    .build(5);
+    let report = run_sweep(
+        grid,
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -167,14 +186,17 @@ fn first_hit_mode_survives_interrupt_resume() {
     // Checkpoints land off the n-step probe grid (every=333 vs chunk=20);
     // the resumed job must still probe only at the canonical grid points
     // and record the same first hit as the uninterrupted run.
-    let grid = JobGrid::new(11)
-        .ns([20])
-        .lambdas([4.0])
-        .steps(400_000)
-        .samples(0)
-        .until_alpha(1.7);
-    let reference = run_grid(
-        &grid,
+    let grid = GridSpec {
+        ns: vec![20],
+        lambdas: vec![4.0],
+        steps: 400_000,
+        samples: 0,
+        until_alpha: Some(1.7),
+        ..GridSpec::default()
+    }
+    .build(11);
+    let reference = run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -192,24 +214,27 @@ fn first_hit_mode_survives_interrupt_resume() {
         experiment: None,
         ..EngineConfig::default()
     };
-    let first = run_grid(&grid, &cfg(Some(3))).unwrap();
+    let first = run_sweep(grid.clone(), &cfg(Some(3))).unwrap();
     assert!(first.interrupted);
-    let resumed = run_grid(&grid, &cfg(None)).unwrap();
+    let resumed = run_sweep(grid.clone(), &cfg(None)).unwrap();
     assert_eq!(resumed.results, reference.results);
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
 fn kmc_first_hit_mode_matches_run_until_compressed() {
-    let grid = JobGrid::new(5)
-        .ns([15])
-        .lambdas([5.0])
-        .algorithms([Algorithm::CHAIN_KMC])
-        .steps(2_000_000)
-        .samples(0)
-        .until_alpha(2.5);
-    let report = run_grid(
-        &grid,
+    let grid = GridSpec {
+        ns: vec![15],
+        lambdas: vec![5.0],
+        algorithms: vec![Algorithm::CHAIN_KMC],
+        steps: 2_000_000,
+        samples: 0,
+        until_alpha: Some(2.5),
+        ..GridSpec::default()
+    }
+    .build(5);
+    let report = run_sweep(
+        grid,
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -231,8 +256,8 @@ fn kmc_first_hit_mode_matches_run_until_compressed() {
 
 #[test]
 fn step_counters_reach_the_results_layer() {
-    let report = run_grid(
-        &mixed_grid(),
+    let report = run_sweep(
+        mixed_grid(),
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -263,17 +288,20 @@ fn step_counters_reach_the_results_layer() {
 
 #[test]
 fn crash_scenarios_freeze_the_chosen_victims() {
-    let grid = JobGrid::new(77)
-        .ns([20])
-        .lambdas([4.0])
-        .steps(5_000)
-        .samples(5)
-        .crashes([Some(sops_engine::CrashSpec {
+    let grid = GridSpec {
+        ns: vec![20],
+        lambdas: vec![4.0],
+        steps: 5_000,
+        samples: 5,
+        crashes: vec![Some(sops_engine::CrashSpec {
             percent: 20,
             after_burnin: false,
-        })]);
-    let report = run_grid(
-        &grid,
+        })],
+        ..GridSpec::default()
+    }
+    .build(77);
+    let report = run_sweep(
+        grid,
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -285,4 +313,20 @@ fn crash_scenarios_freeze_the_chosen_victims() {
     // 20% of 20 particles anchored along the initial line keeps the
     // perimeter well above the crash-free optimum.
     assert!(result.final_perimeter > metrics::pmin(20));
+}
+
+/// A recorded ablation snapshot (Property 1/2 guard off), taken after its
+/// first disconnection: restoring it must re-encode to the same bytes, and
+/// 10⁴ more steps must reach the recorded state. Pins the ablation chain's
+/// snapshot format and its Metropolis filter across releases.
+#[test]
+fn ablation_snapshot_after_a_violation_resumes() {
+    const ENTRY: &str =
+        include_str!("../../../tests/data/snapshots/ablation-no-prop-violated.snap");
+    assert!(ENTRY.contains("first_violation=2000\n"));
+    let mut chain = AblationChain::restore(ENTRY).unwrap();
+    assert_eq!(chain.snapshot(), ENTRY);
+    chain.run(10_000);
+    assert!(!chain.halted());
+    assert_eq!(fnv(chain.snapshot().as_bytes()), 0xdacb_40ad_5ccf_2f6b);
 }

@@ -5,19 +5,19 @@
 //! done-record bytes identical to the equivalent flag invocation, at any
 //! `--threads`. These tests pin that differentially — the checked-in
 //! example files under `examples/experiments/` are parsed, compared
-//! job-for-job against the hand-built [`JobGrid`] the flag path would
+//! job-for-job against the hand-built [`GridSpec`] the flag path would
 //! construct, and executed on the engine at several thread counts.
 //!
-//! Round-trip property tests (spec → text → spec ≡ id, spec → grid ≡
-//! hand-built grid) ride along using the vendored proptest shim.
+//! Round-trip property tests (spec → text → spec ≡ id, single-grid spec →
+//! jobs ≡ its grid's jobs) ride along using the vendored proptest shim.
 
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
 use proptest::prelude::*;
-use sops_engine::experiment::{CheckpointSpec, ExperimentSpec, GridSpec};
+use sops_engine::experiment::{CheckpointSpec, ExperimentSpec};
 use sops_engine::testkit::{job_done_only, sweep_artifacts, tmp_dir};
-use sops_engine::{Algorithm, CrashSpec, EngineConfig, HamiltonianSpec, JobGrid, Shape};
+use sops_engine::{Algorithm, CrashSpec, EngineConfig, GridSpec, HamiltonianSpec, JobSpec, Shape};
 
 /// Absolute path of a checked-in example experiment.
 fn example(name: &str) -> PathBuf {
@@ -58,12 +58,12 @@ fn run_to_artifacts(
     (csv, done_lines)
 }
 
-/// Runs the *flag path* — a hand-built [`JobGrid`], no experiment
-/// provenance, exactly what `sops-cli sweep` constructs — and returns the
-/// same artifacts.
-fn run_flag_grid(grid: &JobGrid, threads: usize, tag: &str) -> (String, BTreeSet<String>) {
+/// Runs the *flag path* — the jobs of a hand-built [`GridSpec`], no
+/// experiment provenance, exactly what `sops-cli sweep` constructs — and
+/// returns the same artifacts.
+fn run_flag_grid(jobs: Vec<JobSpec>, threads: usize, tag: &str) -> (String, BTreeSet<String>) {
     let (_, csv, done_lines) = sweep_artifacts(
-        grid.build(),
+        jobs,
         &EngineConfig {
             threads,
             ..EngineConfig::default()
@@ -101,15 +101,18 @@ fn every_checked_in_example_parses_and_resolves_to_jobs() {
 #[test]
 fn kmc_vs_chain_file_matches_flag_sweep_at_any_thread_count() {
     let spec = parse_example("kmc_vs_chain.toml");
-    let flag_grid = JobGrid::new(21)
-        .ns([40])
-        .lambdas([2.0, 4.0])
-        .algorithms([Algorithm::CHAIN, Algorithm::CHAIN_KMC])
-        .steps(200_000)
-        .samples(40);
-    assert_eq!(spec.jobs(), flag_grid.build(), "resolved job lists differ");
+    let flag_grid = GridSpec {
+        ns: vec![40],
+        lambdas: vec![2.0, 4.0],
+        algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC],
+        steps: 200_000,
+        samples: 40,
+        ..GridSpec::default()
+    }
+    .build(21);
+    assert_eq!(spec.jobs(), flag_grid, "resolved job lists differ");
 
-    let (flag_csv, flag_done) = run_flag_grid(&flag_grid, 1, "kmc_flags");
+    let (flag_csv, flag_done) = run_flag_grid(flag_grid, 1, "kmc_flags");
     for threads in [1usize, 2, 4] {
         let (csv, done) = run_to_artifacts(&spec, threads, &format!("kmc_file_{threads}"));
         assert_eq!(csv, flag_csv, "CSV bytes differ at {threads} threads");
@@ -125,16 +128,19 @@ fn kmc_vs_chain_file_matches_flag_sweep_at_any_thread_count() {
 #[test]
 fn alignment_order_file_matches_flag_sweep_at_any_thread_count() {
     let spec = parse_example("alignment_order.toml");
-    let flag_grid = JobGrid::new(11)
-        .ns([40])
-        .lambdas([1.0, 3.0, 5.0])
-        .algorithms([Algorithm::CHAIN_KMC])
-        .hamiltonians([HamiltonianSpec::Alignment { q: 3 }])
-        .steps(300_000)
-        .samples(50);
-    assert_eq!(spec.jobs(), flag_grid.build(), "resolved job lists differ");
+    let flag_grid = GridSpec {
+        ns: vec![40],
+        lambdas: vec![1.0, 3.0, 5.0],
+        algorithms: vec![Algorithm::CHAIN_KMC],
+        hamiltonians: Some(vec![HamiltonianSpec::Alignment { q: 3 }]),
+        steps: 300_000,
+        samples: 50,
+        ..GridSpec::default()
+    }
+    .build(11);
+    assert_eq!(spec.jobs(), flag_grid, "resolved job lists differ");
 
-    let (flag_csv, flag_done) = run_flag_grid(&flag_grid, 1, "align_flags");
+    let (flag_csv, flag_done) = run_flag_grid(flag_grid, 1, "align_flags");
     for threads in [1usize, 4] {
         let (csv, done) = run_to_artifacts(&spec, threads, &format!("align_file_{threads}"));
         assert_eq!(csv, flag_csv, "CSV bytes differ at {threads} threads");
@@ -330,8 +336,8 @@ proptest! {
         prop_assert_eq!(reparsed.to_toml(), text);
     }
 
-    /// A single-grid spec resolves to exactly the jobs the equivalent
-    /// hand-built JobGrid (the flag path) produces.
+    /// A single-grid spec resolves to exactly the jobs its grid builds
+    /// (the flag path): concatenation re-assigns the same ids and seeds.
     #[test]
     fn single_grid_spec_equals_hand_built_grid(grid in arb_grid(), seed in any::<u64>()) {
         let spec = ExperimentSpec {
@@ -342,22 +348,6 @@ proptest! {
             output: "prop".into(),
             shards: 1,
         };
-        let mut hand_built = JobGrid::new(seed)
-            .algorithms(grid.algorithms.iter().copied())
-            .shapes(grid.shapes.iter().copied())
-            .ns(grid.ns.iter().copied())
-            .lambdas(grid.lambdas.iter().copied())
-            .crashes(grid.crashes.iter().copied())
-            .reps(grid.reps)
-            .burnin(grid.burnin)
-            .steps(grid.steps)
-            .samples(grid.samples);
-        if let Some(hams) = &grid.hamiltonians {
-            hand_built = hand_built.hamiltonians(hams.iter().copied());
-        }
-        if let Some(alpha) = grid.until_alpha {
-            hand_built = hand_built.until_alpha(alpha);
-        }
-        prop_assert_eq!(spec.jobs(), hand_built.build());
+        prop_assert_eq!(spec.jobs(), grid.build(seed));
     }
 }

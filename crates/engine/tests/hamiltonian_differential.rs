@@ -15,7 +15,7 @@ use rand::rngs::StdRng;
 use sops::core::{Alignment, CompressionChain, Hamiltonian, KmcChain, StepOutcome};
 use sops::system::{metrics, shapes, ParticleSystem};
 use sops_engine::testkit::{fnv, tmp_dir};
-use sops_engine::{Algorithm, CrashSpec, EngineConfig, HamiltonianSpec, JobGrid, Shape};
+use sops_engine::{Algorithm, CrashSpec, EngineConfig, GridSpec, HamiltonianSpec, JobSpec, Shape};
 
 /// `(n, λ, seed, steps, stream_fnv, snap_fnv, snap_len)` recorded from the
 /// pre-refactor chain: the formatted outcome stream of every step and the
@@ -287,22 +287,25 @@ fn trajectory_samples_match_pre_refactor_bytes() {
 
 /// The diverse sweep recorded before the refactor: all three algorithms ×
 /// two biases × two shapes × crash on/off, events streamed on one thread.
-fn golden_grid() -> JobGrid {
-    JobGrid::new(9)
-        .ns([12])
-        .lambdas([2.0, 4.0])
-        .shapes([Shape::Line, Shape::Annulus(3)])
-        .algorithms([Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local])
-        .crashes([
+fn golden_grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![12],
+        lambdas: vec![2.0, 4.0],
+        shapes: vec![Shape::Line, Shape::Annulus(3)],
+        algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local],
+        crashes: vec![
             None,
             Some(CrashSpec {
                 percent: 20,
                 after_burnin: true,
             }),
-        ])
-        .steps(4000)
-        .burnin(500)
-        .samples(5)
+        ],
+        steps: 4000,
+        burnin: 500,
+        samples: 5,
+        ..GridSpec::default()
+    }
+    .build(9)
 }
 
 #[test]
@@ -313,8 +316,8 @@ fn engine_sweep_csv_and_jsonl_match_pre_refactor_bytes_at_any_thread_count() {
     let dir = tmp_dir("hamiltonian_golden");
     std::fs::create_dir_all(&dir).unwrap();
     let events = dir.join("events.jsonl");
-    let report = sops_engine::run_grid(
-        &golden_grid(),
+    let report = sops_engine::run_sweep(
+        golden_grid(),
         &EngineConfig {
             threads: 1,
             checkpoint: None,
@@ -341,8 +344,8 @@ fn engine_sweep_csv_and_jsonl_match_pre_refactor_bytes_at_any_thread_count() {
         0xe02a75ad0e549acd,
         "sweep JSONL bytes changed"
     );
-    let report4 = sops_engine::run_grid(
-        &golden_grid(),
+    let report4 = sops_engine::run_sweep(
+        golden_grid(),
         &EngineConfig {
             threads: 4,
             ..EngineConfig::default()
@@ -359,15 +362,18 @@ fn engine_sweep_csv_and_jsonl_match_pre_refactor_bytes_at_any_thread_count() {
 
 #[test]
 fn engine_first_hit_sweep_matches_pre_refactor_bytes() {
-    let grid = JobGrid::new(3)
-        .ns([15])
-        .lambdas([6.0])
-        .algorithms([Algorithm::CHAIN, Algorithm::CHAIN_KMC])
-        .steps(2_000_000)
-        .samples(0)
-        .until_alpha(1.8);
-    let report = sops_engine::run_grid(
-        &grid,
+    let grid = GridSpec {
+        ns: vec![15],
+        lambdas: vec![6.0],
+        algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC],
+        steps: 2_000_000,
+        samples: 0,
+        until_alpha: Some(1.8),
+        ..GridSpec::default()
+    }
+    .build(3);
+    let report = sops_engine::run_sweep(
+        grid,
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
@@ -389,15 +395,18 @@ fn engine_first_hit_sweep_matches_pre_refactor_bytes() {
 #[test]
 fn alignment_order_parameter_increases_with_lambda() {
     for algorithm in [Algorithm::CHAIN, Algorithm::CHAIN_KMC] {
-        let grid = JobGrid::new(5)
-            .ns([40])
-            .lambdas([1.0, 3.0, 5.0])
-            .algorithms([algorithm])
-            .hamiltonians([HamiltonianSpec::Alignment { q: 3 }])
-            .steps(300_000)
-            .samples(4);
-        let report = sops_engine::run_grid(
-            &grid,
+        let grid = GridSpec {
+            ns: vec![40],
+            lambdas: vec![1.0, 3.0, 5.0],
+            algorithms: vec![algorithm],
+            hamiltonians: Some(vec![HamiltonianSpec::Alignment { q: 3 }]),
+            steps: 300_000,
+            samples: 4,
+            ..GridSpec::default()
+        }
+        .build(5);
+        let report = sops_engine::run_sweep(
+            grid,
             &EngineConfig {
                 threads: 2,
                 ..EngineConfig::default()
@@ -432,23 +441,26 @@ fn alignment_order_parameter_increases_with_lambda() {
 #[test]
 fn alignment_sweep_interrupt_and_resume_is_byte_identical() {
     let dir = tmp_dir("alignment_resume");
-    let grid = JobGrid::new(11)
-        .ns([20])
-        .lambdas([4.0])
-        .algorithms([Algorithm::CHAIN, Algorithm::CHAIN_KMC])
-        .hamiltonians([HamiltonianSpec::Alignment { q: 3 }])
-        .steps(60_000)
-        .samples(6);
-    let uninterrupted = sops_engine::run_grid(
-        &grid,
+    let grid = GridSpec {
+        ns: vec![20],
+        lambdas: vec![4.0],
+        algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC],
+        hamiltonians: Some(vec![HamiltonianSpec::Alignment { q: 3 }]),
+        steps: 60_000,
+        samples: 6,
+        ..GridSpec::default()
+    }
+    .build(11);
+    let uninterrupted = sops_engine::run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             ..EngineConfig::default()
         },
     )
     .unwrap();
-    let interrupted = sops_engine::run_grid(
-        &grid,
+    let interrupted = sops_engine::run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             checkpoint: Some(sops_engine::CheckpointConfig::new(&dir, 10_000)),
@@ -461,8 +473,8 @@ fn alignment_sweep_interrupt_and_resume_is_byte_identical() {
         interrupted.interrupted,
         "stop_after must interrupt the sweep"
     );
-    let resumed = sops_engine::run_grid(
-        &grid,
+    let resumed = sops_engine::run_sweep(
+        grid.clone(),
         &EngineConfig {
             threads: 1,
             checkpoint: Some(sops_engine::CheckpointConfig::new(&dir, 10_000)),

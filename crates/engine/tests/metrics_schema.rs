@@ -6,18 +6,24 @@
 //! CI's artifact gate: when the `SOPS_METRICS_CHECK` environment variable
 //! points at a file, [`ci_metrics_artifact_is_valid`] validates it.
 
-use sops_engine::{run_sweep, EngineConfig, JobGrid};
+use sops_engine::{run_sweep, EngineConfig, GridSpec};
 use sops_telemetry::{parse, validate_metrics};
 
 fn report_json() -> String {
     run_sweep(
-        JobGrid::new(5)
-            .ns([10])
-            .lambdas([4.0])
-            .algorithms(["chain".parse().unwrap(), "local".parse().unwrap()])
-            .steps(2_000)
-            .samples(2)
-            .build(),
+        GridSpec {
+            ns: vec![10],
+            lambdas: vec![4.0],
+            algorithms: vec![
+                "chain".parse().unwrap(),
+                "local".parse().unwrap(),
+                "local-sharded".parse().unwrap(),
+            ],
+            steps: 2_000,
+            samples: 2,
+            ..GridSpec::default()
+        }
+        .build(5),
         &EngineConfig {
             threads: 2,
             ..EngineConfig::default()
@@ -55,6 +61,8 @@ fn sweep_metrics_json_carries_the_documented_keys() {
         "local.activations",
         "time.step.chain_ns",
         "time.step.local_ns",
+        "local-sharded.work",
+        "time.step.local-sharded_ns",
         "phase.setup_calls",
     ] {
         assert!(
@@ -68,6 +76,7 @@ fn sweep_metrics_json_carries_the_documented_keys() {
         "rate.chain.steps_per_sec",
         "rate.chain.acceptance",
         "rate.local.steps_per_sec",
+        "rate.local-sharded.steps_per_sec",
     ] {
         assert!(
             gauges.get(key).is_some(),

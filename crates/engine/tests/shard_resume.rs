@@ -6,18 +6,21 @@
 //! no shard count — the trajectory is a pure function of the spec.
 
 use sops_engine::testkit::tmp_dir;
-use sops_engine::{run_grid, Algorithm, CheckpointConfig, EngineConfig, JobGrid};
+use sops_engine::{run_sweep, Algorithm, CheckpointConfig, EngineConfig, GridSpec, JobSpec};
 
 /// Two sharded jobs plus a chain sibling: enough to catch a resume that
 /// mixes up per-job state, small enough to re-run at several shard counts.
-fn grid() -> JobGrid {
-    JobGrid::new(31)
-        .ns([18, 30])
-        .lambdas([4.0])
-        .algorithms([Algorithm::LocalSharded, Algorithm::CHAIN])
-        .steps(2_000)
-        .burnin(400)
-        .samples(3)
+fn grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![18, 30],
+        lambdas: vec![4.0],
+        algorithms: vec![Algorithm::LocalSharded, Algorithm::CHAIN],
+        steps: 2_000,
+        burnin: 400,
+        samples: 3,
+        ..GridSpec::default()
+    }
+    .build(31)
 }
 
 fn cfg(shards: usize) -> EngineConfig {
@@ -32,11 +35,11 @@ fn cfg(shards: usize) -> EngineConfig {
 /// point of the checkerboard-synchronous schedule.
 #[test]
 fn complete_sweeps_are_byte_identical_at_any_shard_count() {
-    let reference = run_grid(&grid(), &cfg(1)).unwrap();
+    let reference = run_sweep(grid(), &cfg(1)).unwrap();
     assert!(reference.is_complete());
     let ref_csv = reference.to_table().to_csv();
     for shards in [2, 3, 8] {
-        let report = run_grid(&grid(), &cfg(shards)).unwrap();
+        let report = run_sweep(grid(), &cfg(shards)).unwrap();
         assert!(report.is_complete());
         assert_eq!(
             report.to_table().to_csv(),
@@ -51,13 +54,13 @@ fn complete_sweeps_are_byte_identical_at_any_shard_count() {
 /// and the persisted snapshot mentions no worker count it could pin.
 #[test]
 fn resume_at_a_different_shard_count_is_byte_identical() {
-    let reference = run_grid(&grid(), &cfg(1)).unwrap();
+    let reference = run_sweep(grid(), &cfg(1)).unwrap();
     assert!(reference.is_complete());
     let ref_csv = reference.to_table().to_csv();
 
     let dir = tmp_dir("shard_resume");
-    let interrupted = run_grid(
-        &grid(),
+    let interrupted = run_sweep(
+        grid(),
         &EngineConfig {
             checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 500)),
             stop_after_checkpoints: Some(2),
@@ -86,8 +89,8 @@ fn resume_at_a_different_shard_count_is_byte_identical() {
         );
     }
 
-    let resumed = run_grid(
-        &grid(),
+    let resumed = run_sweep(
+        grid(),
         &EngineConfig {
             checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 500)),
             ..cfg(2)
@@ -96,7 +99,7 @@ fn resume_at_a_different_shard_count_is_byte_identical() {
     .unwrap();
     assert!(resumed.is_complete());
     assert!(
-        resumed.reused < grid().build().len(),
+        resumed.reused < grid().len(),
         "at least one job must actually resume from mid-flight state"
     );
     assert_eq!(

@@ -11,22 +11,25 @@ use std::path::PathBuf;
 
 use sops_engine::testkit::{not_progress, sweep_artifacts, tmp_dir};
 use sops_engine::{
-    run_sweep, CheckpointConfig, EngineConfig, JobGrid, SweepReport, TelemetryConfig,
+    run_sweep, CheckpointConfig, EngineConfig, GridSpec, JobSpec, SweepReport, TelemetryConfig,
 };
 
 /// A small mixed-algorithm grid exercising every probe family.
-fn grid() -> JobGrid {
-    JobGrid::new(11)
-        .ns([12])
-        .lambdas([4.0])
-        .algorithms([
+fn grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![12],
+        lambdas: vec![4.0],
+        algorithms: vec![
             "chain".parse().unwrap(),
             "chain-kmc".parse().unwrap(),
             "local".parse().unwrap(),
-        ])
-        .steps(3_000)
-        .samples(3)
-        .reps(2)
+        ],
+        steps: 3_000,
+        samples: 3,
+        reps: 2,
+        ..GridSpec::default()
+    }
+    .build(11)
 }
 
 /// Runs the grid and returns `(report, csv, jsonl line set)`. Line *order*
@@ -39,7 +42,7 @@ fn run(
     tag: &str,
 ) -> (SweepReport, String, BTreeSet<String>) {
     sweep_artifacts(
-        grid().build(),
+        grid(),
         &EngineConfig {
             threads,
             telemetry,
@@ -88,7 +91,7 @@ fn progress_mode_emits_progress_events() {
     let dir = tmp_dir("tel_prog_events");
     let events = dir.join("events.jsonl");
     let report = run_sweep(
-        grid().build(),
+        grid(),
         &EngineConfig {
             threads: 2,
             events_path: Some(events.clone()),
@@ -123,15 +126,18 @@ fn progress_mode_emits_progress_events() {
 #[test]
 fn checkpoints_and_resume_are_byte_identical_with_telemetry_on_and_off() {
     let make_grid = || {
-        JobGrid::new(3)
-            .ns([10])
-            .lambdas([4.0])
-            .algorithms(["chain".parse().unwrap(), "chain-kmc".parse().unwrap()])
-            .steps(4_000)
-            .samples(2)
+        GridSpec {
+            ns: vec![10],
+            lambdas: vec![4.0],
+            algorithms: vec!["chain".parse().unwrap(), "chain-kmc".parse().unwrap()],
+            steps: 4_000,
+            samples: 2,
+            ..GridSpec::default()
+        }
+        .build(3)
     };
     let reference = run_sweep(
-        make_grid().build(),
+        make_grid(),
         &EngineConfig {
             threads: 1,
             telemetry: TelemetryConfig::disabled(),
@@ -146,7 +152,7 @@ fn checkpoints_and_resume_are_byte_identical_with_telemetry_on_and_off() {
     let interrupted = |telemetry: TelemetryConfig, tag: &str| -> PathBuf {
         let dir = tmp_dir(tag);
         let report = run_sweep(
-            make_grid().build(),
+            make_grid(),
             &EngineConfig {
                 threads: 1,
                 checkpoint: Some(CheckpointConfig::new(dir.join("ckpt"), 1_000)),
@@ -186,7 +192,7 @@ fn checkpoints_and_resume_are_byte_identical_with_telemetry_on_and_off() {
     // Resume the telemetry-on interrupt with telemetry *off*: converges to
     // the uninterrupted reference bytes.
     let resumed = run_sweep(
-        make_grid().build(),
+        make_grid(),
         &EngineConfig {
             threads: 1,
             checkpoint: Some(CheckpointConfig::new(dir_on.join("ckpt"), 1_000)),
@@ -251,7 +257,13 @@ fn sink_error_counts_surface_in_the_report() {
     let dir = tmp_dir("tel_sink_ok");
     let events = dir.join("events.jsonl");
     let report = run_sweep(
-        JobGrid::new(1).ns([8]).steps(500).samples(1).build(),
+        GridSpec {
+            ns: vec![8],
+            steps: 500,
+            samples: 1,
+            ..GridSpec::default()
+        }
+        .build(1),
         &EngineConfig {
             threads: 1,
             events_path: Some(events.clone()),
@@ -285,7 +297,7 @@ fn an_unmatched_fault_plan_changes_no_artifact() {
         // Every line counts here (an unmatched plan may not add events
         // either), so keep the full set rather than filtering.
         let (report, csv, lines) = sweep_artifacts(
-            grid().build(),
+            grid(),
             &EngineConfig {
                 threads: 2,
                 faults,
@@ -333,7 +345,13 @@ fn dropped_event_lines_are_counted_not_swallowed() {
     // /dev/full fails every write with ENOSPC: the whole event stream drops
     // and the report must say so.
     let report = run_sweep(
-        JobGrid::new(1).ns([8]).steps(500).samples(1).build(),
+        GridSpec {
+            ns: vec![8],
+            steps: 500,
+            samples: 1,
+            ..GridSpec::default()
+        }
+        .build(1),
         &EngineConfig {
             threads: 1,
             events_path: Some(PathBuf::from("/dev/full")),

@@ -79,7 +79,8 @@ fn push_entries<'a>(out: &mut String, entries: impl Iterator<Item = (&'a str, St
     }
 }
 
-/// JSON string literal with the escapes the engine's event sink also uses.
+/// JSON string literal (adds the quotes): the one quoter of `metrics.json`
+/// and of the engine's JSONL events.
 #[must_use]
 pub fn quote(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);

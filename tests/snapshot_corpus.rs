@@ -1,24 +1,33 @@
-//! Snapshot compatibility corpus for the two samplers of chain `M`.
+//! Snapshot compatibility corpus for the two samplers of chain `M` and the
+//! two runners of the local algorithm `A`.
 //!
 //! Each entry in `tests/data/snapshots/` was written by an earlier release
-//! of the samplers. Restoring it today must re-encode to the same bytes,
-//! and continuing it 10⁴ steps must reach the snapshot whose FNV-1a
-//! fingerprint was recorded alongside the entry. A deliberate format change
-//! adds a new entry and keeps the old ones.
+//! of the simulators. Restoring it today must re-encode to the same bytes,
+//! and continuing it 10⁴ steps (rounds, for `A`) must reach the snapshot
+//! whose FNV-1a fingerprint was recorded alongside the entry. A deliberate
+//! format change adds a new entry and keeps the old ones. (The ablation
+//! chain's entry is replayed by `crates/engine/tests/engine.rs`.)
 
 use rand::rngs::StdRng;
 use sops::core::chain::Metropolis;
 use sops::core::kmc::RejectionFree;
+use sops::core::sharded::SerialExecutor;
 use sops::core::snapshot::SnapshotError;
-use sops::core::{Alignment, CompressionChain, EdgeCount, Hamiltonian, Kernel, KmcChain, Sampler};
+use sops::core::{
+    Alignment, CompressionChain, EdgeCount, Hamiltonian, Kernel, KmcChain, LocalRunner, Sampler,
+    ShardedLocalRunner,
+};
 
 const CHAIN_EDGES_CRASHED: &str = include_str!("data/snapshots/chain-edges-crashed.snap");
 const CHAIN_ALIGNMENT3: &str = include_str!("data/snapshots/chain-alignment3.snap");
 const KMC_EDGES_CRASHED_PENDING: &str =
     include_str!("data/snapshots/kmc-edges-crashed-pending.snap");
 const KMC_ALIGNMENT2: &str = include_str!("data/snapshots/kmc-alignment2.snap");
+const LOCAL_CRASHED_MIDROUND: &str = include_str!("data/snapshots/local-crashed-midround.snap");
+const LOCAL_SHARDED_CRASHED: &str = include_str!("data/snapshots/local-sharded-crashed.snap");
 
-/// Steps each entry is continued for before its snapshot is fingerprinted.
+/// Steps (rounds, for `A`) each entry is continued for before its snapshot
+/// is fingerprinted.
 const CONTINUE: u64 = 10_000;
 
 fn fnv(bytes: &[u8]) -> u64 {
@@ -62,6 +71,68 @@ fn kmc_under_edges_with_crashes_and_a_pending_dwell_resumes() {
 fn kmc_under_alignment_2_resumes() {
     assert!(KMC_ALIGNMENT2.contains("hamiltonian=alignment:2\n"));
     check::<RejectionFree, Alignment>(KMC_ALIGNMENT2, 0x05c4_6fb0_fde4_034e);
+}
+
+#[test]
+fn local_with_crashes_mid_round_resumes() {
+    assert!(LOCAL_CRASHED_MIDROUND.contains("remaining=13\n"));
+    let mut runner = LocalRunner::restore(LOCAL_CRASHED_MIDROUND).unwrap();
+    assert_eq!(runner.snapshot(), LOCAL_CRASHED_MIDROUND);
+    runner.run_rounds(CONTINUE);
+    assert_eq!(fnv(runner.snapshot().as_bytes()), 0xb516_3c08_671f_669c);
+}
+
+/// Both implementations of the sharded schedule — the flat reference and
+/// the sharded executor — continue the entry to the same recorded state.
+#[test]
+fn local_sharded_with_crashes_resumes_on_both_paths() {
+    assert!(LOCAL_SHARDED_CRASHED.contains("crashed=0001"));
+    let restore = || ShardedLocalRunner::restore(LOCAL_SHARDED_CRASHED).unwrap();
+    assert_eq!(restore().snapshot(), LOCAL_SHARDED_CRASHED);
+    let mut flat = restore();
+    flat.run_rounds(CONTINUE);
+    let mut sharded = restore();
+    sharded.run_rounds_with(CONTINUE, &SerialExecutor);
+    for runner in [&flat, &sharded] {
+        assert_eq!(fnv(runner.snapshot().as_bytes()), 0x2a40_5164_0aaf_cfe7);
+    }
+}
+
+/// Every chain step records exactly one outcome, so `counts=` must sum to
+/// `steps=`.
+#[test]
+fn chain_rejects_counts_that_do_not_sum_to_steps() {
+    let edited =
+        CHAIN_EDGES_CRASHED.replace("counts=395,1850,270,0,2131,354\n", "counts=1,2,3,4,5,6\n");
+    assert_ne!(edited, CHAIN_EDGES_CRASHED);
+    assert!(matches!(
+        CompressionChain::<StdRng, EdgeCount>::restore(&edited).unwrap_err(),
+        SnapshotError::Invalid(_)
+    ));
+}
+
+/// A dwell drawn at step `s` has `at = s + skipped + 1`, so its draw step
+/// `at − skipped − 1` must lie in `[0, steps]`.
+#[test]
+fn kmc_rejects_a_pending_dwell_no_run_could_draw() {
+    for pending in [
+        "pending=7516,1000000\n",
+        "pending=7516,7516\n",
+        "pending=7516,0\n",
+    ] {
+        let edited = KMC_EDGES_CRASHED_PENDING.replace("pending=7516,30\n", pending);
+        assert_ne!(edited, KMC_EDGES_CRASHED_PENDING);
+        assert!(
+            matches!(
+                KmcChain::<StdRng, EdgeCount>::restore(&edited).unwrap_err(),
+                SnapshotError::Invalid(_)
+            ),
+            "{pending}"
+        );
+    }
+    // Drawn exactly at the snapshot's step (7500): a state a run can reach.
+    let edited = KMC_EDGES_CRASHED_PENDING.replace("pending=7516,30\n", "pending=7516,15\n");
+    assert!(KmcChain::<StdRng, EdgeCount>::restore(&edited).is_ok());
 }
 
 #[test]

@@ -65,34 +65,31 @@ impl Args {
         self.flags.iter().any(|f| f == name)
     }
 
-    /// A `usize` value with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value does not parse.
+    /// A `usize` value with a default. A value that does not parse is a
+    /// usage error: the process prints `--<name> expects an integer` and
+    /// exits with status 2.
     #[must_use]
     pub fn get_usize(&self, name: &str, default: usize) -> usize {
-        self.get_string(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{name} expects an integer"))
-            })
-            .unwrap_or(default)
+        self.parse_or(name, default, "an integer")
     }
 
-    /// A `u64` value with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value does not parse.
+    /// A `u64` value with a default; a malformed value is a usage error, as
+    /// for [`Args::get_usize`].
     #[must_use]
     pub fn get_u64(&self, name: &str, default: u64) -> u64 {
-        self.get_string(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{name} expects an integer"))
-            })
-            .unwrap_or(default)
+        self.parse_or(name, default, "an integer")
+    }
+
+    /// The value of `--name` parsed as `T`, or `default` when absent. A
+    /// value that does not parse exits the process with status 2 and the
+    /// message `--<name> expects <what>`.
+    fn parse_or<T: std::str::FromStr>(&self, name: &str, default: T, what: &str) -> T {
+        match self.get_string(name) {
+            None => default,
+            Some(v) => v
+                .parse()
+                .unwrap_or_else(|_| usage_error(&format!("--{name} expects {what}"))),
+        }
     }
 
     /// A string value, if present (the last one when the flag repeats).
@@ -113,16 +110,15 @@ impl Args {
     /// The shared `--threads N` flag: worker-thread count for parallel
     /// experiment binaries, defaulting to the machine's available
     /// parallelism. Engine-backed sweeps produce identical results at any
-    /// value; only wall-clock time changes.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value does not parse or is zero.
+    /// value; only wall-clock time changes. A malformed or zero value is a
+    /// usage error (`--threads expects a positive integer`, status 2).
     #[must_use]
     pub fn threads(&self) -> usize {
-        let threads = self.get_usize("threads", sops_engine::default_threads());
-        assert!(threads > 0, "--threads expects a positive integer");
-        threads
+        let what = "a positive integer";
+        match self.parse_or("threads", sops_engine::default_threads(), what) {
+            0 => usage_error(&format!("--threads expects {what}")),
+            threads => threads,
+        }
     }
 
     /// The shared `--algo NAME` flag combined with the optional
@@ -175,20 +171,19 @@ impl Args {
         }
     }
 
-    /// An `f64` value with a default.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the value does not parse.
+    /// An `f64` value with a default; a malformed value is a usage error
+    /// (`--<name> expects a number`, status 2).
     #[must_use]
     pub fn get_f64(&self, name: &str, default: f64) -> f64 {
-        self.get_string(name)
-            .map(|v| {
-                v.parse()
-                    .unwrap_or_else(|_| panic!("--{name} expects a number"))
-            })
-            .unwrap_or(default)
+        self.parse_or(name, default, "a number")
     }
+}
+
+/// Prints `message` and exits with status 2, the usage-error code of every
+/// binary that parses its flags with [`Args`].
+fn usage_error(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(2)
 }
 
 #[cfg(test)]
@@ -236,19 +231,5 @@ mod tests {
         assert_eq!(args.threads(), sops_engine::default_threads());
         let args = Args::from_iter(["--threads", "3"].map(String::from));
         assert_eq!(args.threads(), 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "positive integer")]
-    fn zero_threads_panics() {
-        let args = Args::from_iter(["--threads", "0"].map(String::from));
-        let _ = args.threads();
-    }
-
-    #[test]
-    #[should_panic(expected = "expects an integer")]
-    fn bad_value_panics() {
-        let args = Args::from_iter(["--n", "abc"].map(String::from));
-        let _ = args.get_usize("n", 0);
     }
 }

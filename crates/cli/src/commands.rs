@@ -190,6 +190,17 @@ pub fn sweep(args: &Args) {
         }));
     }
 
+    if let Err(err) = grid.validate() {
+        let flag = match err.key {
+            "ns" => "n",
+            "lambdas" => "lambda",
+            "until_alpha" => "until-alpha",
+            key => key,
+        };
+        eprintln!("--{flag}: {}", err.message);
+        std::process::exit(2);
+    }
+
     let checkpoint = args.get_string("checkpoint").map(|dir| {
         CheckpointConfig::new(
             dir,

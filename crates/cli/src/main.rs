@@ -18,6 +18,8 @@
 //! ```
 
 use sops::analysis::table::{fmt_f64, Table};
+use sops::core::local::Runner;
+use sops::core::sharded::ShardedLocalRunner;
 use sops::enumerate::{polyhex, saw};
 use sops::prelude::*;
 use sops::render::{ascii, svg};
@@ -147,74 +149,48 @@ fn local(args: &Args) {
     // `--shards K` switches to the checkerboard-synchronous variant of A
     // and runs each round's color steps on K workers. K is an execution
     // detail: any K ≥ 1 prints the identical table for a given seed.
-    if let Some(shards) = args.get_string("shards") {
-        let shards: usize = shards.parse().unwrap_or_else(|_| {
+    let Some(shards) = args.get_string("shards") else {
+        eprintln!("local algorithm A: n = {n}, λ = {lambda}, {rounds} rounds, seed {seed}");
+        let runner = LocalRunner::from_seed(&start, lambda, seed);
+        report_local(args, runner, rounds, |runner, k| runner.run_rounds(k));
+        return;
+    };
+    let shards = shards
+        .parse::<usize>()
+        .unwrap_or_else(|_| {
             eprintln!("--shards expects an integer");
             std::process::exit(2);
-        });
-        local_sharded(args, &start, n, lambda, rounds, seed, shards.max(1));
-        return;
-    }
-    eprintln!("local algorithm A: n = {n}, λ = {lambda}, {rounds} rounds, seed {seed}");
-    let mut runner = match LocalRunner::from_seed(&start, lambda, seed) {
-        Ok(runner) => runner,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    };
-    let mut table = Table::new(["round", "perimeter", "alpha", "moves", "activations"]);
-    let chunk = (rounds / 10).max(1);
-    let mut done = 0;
-    while done < rounds {
-        runner.run_rounds(chunk.min(rounds - done));
-        done = runner.rounds();
-        let tails = runner.tail_system();
-        table.row([
-            runner.rounds().to_string(),
-            tails.perimeter().to_string(),
-            fmt_f64(metrics::compression_ratio(&tails), 3),
-            runner.moves_completed().to_string(),
-            runner.activations().to_string(),
-        ]);
-    }
-    print!("{}", table.to_markdown());
-    let tails = runner.tail_system();
-    println!("\nfinal: {}", ascii::summary(&tails));
-    maybe_svg(args, &tails);
-}
-
-/// The `--shards` path of `sops-cli local`: the checkerboard-synchronous
-/// variant of A on the engine's shard executor.
-fn local_sharded(
-    args: &Args,
-    start: &ParticleSystem,
-    n: usize,
-    lambda: f64,
-    rounds: u64,
-    seed: u64,
-    shards: usize,
-) {
-    use sops::core::sharded::ShardedLocalRunner;
-    use sops_engine::PoolExecutor;
-
+        })
+        .max(1);
     eprintln!(
         "local algorithm A (sharded): n = {n}, λ = {lambda}, {rounds} rounds, \
          seed {seed}, {shards} shard worker(s)"
     );
-    let mut runner = match ShardedLocalRunner::from_seed(start, lambda, seed) {
-        Ok(runner) => runner,
-        Err(err) => {
-            eprintln!("error: {err}");
-            std::process::exit(1);
-        }
-    };
-    let executor = PoolExecutor::new(shards);
+    let executor = sops_engine::PoolExecutor::new(shards);
+    let runner = ShardedLocalRunner::from_seed(&start, lambda, seed);
+    report_local(args, runner, rounds, |runner, k| {
+        runner.run_rounds_with(k, &executor);
+    });
+}
+
+/// Runs `rounds` rounds of algorithm `A` under either schedule, `advance`
+/// taking them in tenths, and prints a table row per tenth and the final
+/// configuration.
+fn report_local<S>(
+    args: &Args,
+    runner: Result<Runner<S>, ChainError>,
+    rounds: u64,
+    mut advance: impl FnMut(&mut Runner<S>, u64),
+) {
+    let mut runner = runner.unwrap_or_else(|err| {
+        eprintln!("error: {err}");
+        std::process::exit(1);
+    });
     let mut table = Table::new(["round", "perimeter", "alpha", "moves", "activations"]);
     let chunk = (rounds / 10).max(1);
     let mut done = 0;
     while done < rounds {
-        runner.run_rounds_with(chunk.min(rounds - done), &executor);
+        advance(&mut runner, chunk.min(rounds - done));
         done = runner.rounds();
         let tails = runner.tail_system();
         table.row([

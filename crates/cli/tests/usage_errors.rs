@@ -41,3 +41,34 @@ fn sweep_rejects_an_empty_list_flag() {
         );
     }
 }
+
+#[test]
+fn malformed_flag_values_are_usage_errors() {
+    let cases: [(&[&str], &str); 3] = [
+        (&["sweep", "--steps", "x"], "--steps expects an integer"),
+        (
+            &["sweep", "--threads", "0"],
+            "--threads expects a positive integer",
+        ),
+        (&["local", "--rounds", "x"], "--rounds expects an integer"),
+    ];
+    for (args, message) in cases {
+        let (code, stderr) = sops_cli(args);
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+        assert!(stderr.contains(message), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn sweep_rejects_a_grid_no_job_can_run() {
+    for (flag, value, message) in [
+        ("--reps", "0", "--reps: at least one repetition"),
+        ("--n", "0", "--n: particle counts must be positive"),
+        ("--lambda", "inf", "--lambda: the bias lambda must be"),
+    ] {
+        let (code, stderr) = sops_cli(&["sweep", "--steps", "100", flag, value, "--quiet"]);
+        assert_eq!(code, Some(2), "{flag} {value}: {stderr}");
+        assert!(stderr.contains(message), "{flag} {value}: {stderr}");
+    }
+}

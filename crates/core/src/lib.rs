@@ -26,7 +26,8 @@
 //!   region checkerboard of `sops_lattice::RegionMap`, each region draws from
 //!   its own SplitMix64-salted seed stream, and a [`sharded::StepExecutor`]
 //!   may run same-color regions concurrently — results are byte-identical at
-//!   any worker count.
+//!   any worker count. Both runners are [`local::Runner`] over two
+//!   schedules: one particle rule, one runner state, one set of accessors.
 //!
 //! Both support crash-fault injection (Section 3.3) via [`chain`]- and
 //! [`local`]-level APIs.

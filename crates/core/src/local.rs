@@ -25,12 +25,22 @@
 //!
 //! The *configuration* of the system at any instant is the set of particle
 //! **tails** (heads are ignored; Section 2.2, footnote 2), exposed as
-//! [`LocalRunner::tail_system`].
+//! [`Runner::tail_system`].
 //!
-//! This module is the one home of the rule: `activate_one` runs steps 1–13
-//! against a `World` view of a particle's neighborhood. [`LocalRunner`]
-//! reads the flat view of its particle table; [`crate::sharded`] shares the
-//! same table and supplies a second view over one region cell and its halo.
+//! This module is the one home of the rule and of the runner around it:
+//!
+//! * `activate_one` runs steps 1–13 against a `World` view of a particle's
+//!   neighborhood. Step 11 is `M`'s own verdict: the move must be
+//!   structurally valid ([`MoveValidity::is_structurally_valid`]) and pass
+//!   `M`'s Metropolis filter ([`Acceptance`] under [`EdgeCount`]), so `A`
+//!   and the exact transition matrix of `M` read one rule.
+//! * [`Runner`] holds what every schedule of `A` shares: the particle
+//!   table, the counters, the crash set and the probes, with the accessors
+//!   and the invariant check written once. [`LocalRunner`] is the runner
+//!   under Poisson clocks ([`PoissonClocks`]) and reads the flat view of
+//!   its table; [`crate::sharded::ShardedLocalRunner`] is the runner under
+//!   the region checkerboard and adds a second view over one region cell
+//!   and its halo.
 
 use core::fmt::Write as _;
 
@@ -40,7 +50,9 @@ use sops_lattice::{Direction, PairRing, TileGrid, TriPoint};
 use sops_system::{moves::MoveValidity, ParticleSystem};
 
 use crate::chain::ChainError;
+use crate::hamiltonian::EdgeCount;
 use crate::probes::LocalProbes;
+use crate::sampler::Acceptance;
 use crate::snapshot::{self, SnapshotError};
 
 /// What happened during one particle activation.
@@ -377,14 +389,15 @@ fn has_expanded_neighbor(w: &impl World, p: TriPoint, id: usize) -> bool {
 }
 
 /// Algorithm `A` for one activation of particle `id`: steps 1–13 of
-/// Section 3.2 over any [`World`] view. Each activation draws from `rng`
-/// exactly once — a direction when contracted, `q` when expanded — and
-/// snapshots, golden pins and the sharded differential all rely on that.
+/// Section 3.2 over any [`World`] view, with step 11 weighing by `accept`
+/// ([`ParticleTable::accept`]). Each activation draws from `rng` exactly
+/// once — a direction when contracted, `q` when expanded — and snapshots,
+/// golden pins and the sharded differential all rely on that.
 #[inline]
 pub(crate) fn activate_one<W: World, R: Rng>(
     w: &mut W,
     id: usize,
-    lambda_pow: &[f64; 11],
+    accept: &[f64; 11],
     rng: &mut R,
 ) -> Activation {
     let particle = w.get(id);
@@ -425,13 +438,13 @@ pub(crate) fn activate_one<W: World, R: Rng>(
             let ring = PairRing::new(particle.tail, dir);
             let mask = ring.occupancy_mask(|p| w.tail_of_other(p, id));
             let validity = MoveValidity::from_mask(mask, false);
-            // Step 11: the four conditions.
-            let delta = validity.edge_delta();
-            let accept = !validity.five_neighbor_blocked()
-                && (validity.property1 || validity.property2)
-                && q < lambda_pow[(delta + 5) as usize]
-                && particle.flag;
-            if accept {
+            // Step 11: `M`'s verdict over N* (e ≠ 5, Property 1 or 2, and
+            // its filter), and the flag. `q < 1`, so `q < min(1, λ^Δ)`
+            // decides exactly as the paper's `q < λ^Δ`.
+            if validity.is_structurally_valid()
+                && q < accept[(validity.edge_delta() + 5) as usize]
+                && particle.flag
+            {
                 // Step 12: contract to ℓ′.
                 w.remove(particle.tail);
                 w.write(head, pack_slot(id, false, false));
@@ -495,8 +508,8 @@ impl World for FlatWorld<'_> {
     }
 }
 
-/// The state both local runners share: the particles, their flat occupancy
-/// grid, and the bias `λ` with its step-11 threshold table.
+/// The particles, their flat occupancy grid, and the bias `λ` with the
+/// step-11 weights `M`'s [`Acceptance`] filter gives it.
 #[derive(Clone, Debug)]
 pub(crate) struct ParticleTable {
     pub(crate) particles: Vec<Particle>,
@@ -504,29 +517,26 @@ pub(crate) struct ParticleTable {
     /// 8×8-site tiles so neighborhood probes stay word-level.
     pub(crate) occ: TileGrid,
     pub(crate) lambda: f64,
-    /// `λ^(i−5)`: the acceptance threshold for an edge delta of `i − 5`.
-    pub(crate) lambda_pow: [f64; 11],
+    /// [`Acceptance::weights`] under [`EdgeCount`]: `min(1, λ^(i−5))` for
+    /// an edge delta of `i − 5`. Copied into every shard task, so it is an
+    /// array rather than the table's `Vec`.
+    pub(crate) accept: [f64; 11],
+}
+
+/// The step-11 weights of `λ`: `M`'s filter over the edge-count energy.
+fn accept_weights(lambda: f64) -> Result<[f64; 11], ChainError> {
+    let acceptance = Acceptance::new(&EdgeCount, lambda)?;
+    Ok(acceptance
+        .weights()
+        .try_into()
+        .expect("EdgeCount declares Δ ∈ [-5, 5]"))
 }
 
 impl ParticleTable {
-    fn new(particles: Vec<Particle>, occ: TileGrid, lambda: f64) -> ParticleTable {
-        ParticleTable {
-            particles,
-            occ,
-            lambda,
-            lambda_pow: std::array::from_fn(|k| lambda.powi(k as i32 - 5)),
-        }
-    }
-
     /// Every particle contracted at the positions of `start`, which must be
     /// connected.
-    pub(crate) fn contracted(
-        start: &ParticleSystem,
-        lambda: f64,
-    ) -> Result<ParticleTable, ChainError> {
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(ChainError::InvalidLambda(lambda));
-        }
+    fn contracted(start: &ParticleSystem, lambda: f64) -> Result<ParticleTable, ChainError> {
+        let accept = accept_weights(lambda)?;
         if !start.is_connected() {
             return Err(ChainError::NotConnected);
         }
@@ -545,18 +555,22 @@ impl ParticleTable {
         for (id, p) in particles.iter().enumerate() {
             occupy(&mut occ, id, p).expect("start positions are distinct");
         }
-        Ok(ParticleTable::new(particles, occ, lambda))
+        Ok(ParticleTable {
+            particles,
+            occ,
+            lambda,
+            accept,
+        })
     }
 
     /// Parses a snapshot's `lambda=` and `particles=` lines. Rejects a bad
     /// λ, a malformed or empty particle list, a coordinate beyond
     /// ±[`COORD_LIMIT`], a head not adjacent to its tail, and a site
     /// occupied twice.
-    pub(crate) fn restore(fields: &snapshot::Fields<'_>) -> Result<ParticleTable, SnapshotError> {
+    fn restore(fields: &snapshot::Fields<'_>) -> Result<ParticleTable, SnapshotError> {
         let lambda = fields.parse_f64_bits("lambda")?;
-        if !lambda.is_finite() || lambda <= 0.0 {
-            return Err(SnapshotError::Invalid(format!("bad lambda {lambda}")));
-        }
+        let accept = accept_weights(lambda)
+            .map_err(|_| SnapshotError::Invalid(format!("bad lambda {lambda}")))?;
         let raw = fields.get("particles")?;
         let bad = || SnapshotError::BadField {
             field: "particles",
@@ -605,7 +619,12 @@ impl ParticleTable {
             occupy(&mut occ, id, p)
                 .map_err(|site| SnapshotError::Invalid(format!("site {site} occupied twice")))?;
         }
-        Ok(ParticleTable::new(particles, occ, lambda))
+        Ok(ParticleTable {
+            particles,
+            occ,
+            lambda,
+            accept,
+        })
     }
 
     /// Appends the snapshot's `particles=` line: `x,y,flag` per contracted
@@ -633,35 +652,164 @@ impl ParticleTable {
             particles: &mut self.particles,
             occ: &mut self.occ,
         };
-        activate_one(&mut world, id, &self.lambda_pow, rng)
+        activate_one(&mut world, id, &self.accept, rng)
+    }
+}
+
+/// A runner of algorithm `A` under the schedule `S`: the state both
+/// schedules share — the particle table, the round, activation and move
+/// counters, the crash set and the probes — plus the schedule's own.
+///
+/// Two schedules exist: Poisson clocks ([`LocalRunner`]) and the region
+/// checkerboard ([`crate::sharded::ShardedLocalRunner`]). Each keeps its
+/// constructors, its stepping and its snapshot format; the accessors and
+/// the invariant check are written here once.
+#[derive(Clone, Debug)]
+pub struct Runner<S> {
+    /// Particles and flat occupancy — authoritative between steps.
+    pub(crate) table: ParticleTable,
+    pub(crate) rounds: u64,
+    pub(crate) activations: u64,
+    pub(crate) moves_completed: u64,
+    pub(crate) crashed: Vec<bool>,
+    pub(crate) live: usize,
+    /// Telemetry side channel: never serialized, never read by the
+    /// algorithm (see [`crate::probes`] for the determinism contract).
+    pub(crate) probes: LocalProbes,
+    pub(crate) schedule: S,
+}
+
+impl<S> Runner<S> {
+    /// Every particle contracted at the positions of `start`, no crash, all
+    /// counters zero, under the schedule `schedule(n)` builds.
+    pub(crate) fn contracted(
+        start: &ParticleSystem,
+        lambda: f64,
+        schedule: impl FnOnce(usize) -> S,
+    ) -> Result<Runner<S>, ChainError> {
+        let table = ParticleTable::contracted(start, lambda)?;
+        let n = table.particles.len();
+        Ok(Runner {
+            table,
+            rounds: 0,
+            activations: 0,
+            moves_completed: 0,
+            crashed: vec![false; n],
+            live: n,
+            probes: LocalProbes::default(),
+            schedule: schedule(n),
+        })
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.particles.len()
+    /// Restores the shared state from a snapshot's `lambda=`, `particles=`,
+    /// `crashed=`, `rounds=`, `activations=` and `moves=` lines, under the
+    /// schedule `schedule(crashed)` restores.
+    pub(crate) fn restore_with(
+        fields: &snapshot::Fields<'_>,
+        schedule: impl FnOnce(&[bool]) -> Result<S, SnapshotError>,
+    ) -> Result<Runner<S>, SnapshotError> {
+        let table = ParticleTable::restore(fields)?;
+        let n = table.particles.len();
+        let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, n)?;
+        Ok(Runner {
+            schedule: schedule(&crashed)?,
+            table,
+            rounds: fields.parse_num("rounds")?,
+            activations: fields.parse_num("activations")?,
+            moves_completed: fields.parse_num("moves")?,
+            live: crashed.iter().filter(|&&dead| !dead).count(),
+            crashed,
+            probes: LocalProbes::default(),
+        })
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
-        self.particles.is_empty()
+    /// The bias parameter `λ`.
+    #[must_use]
+    pub fn lambda(&self) -> f64 {
+        self.table.lambda
     }
 
-    pub(crate) fn is_expanded(&self, id: usize) -> bool {
-        self.particles[id].head.is_some()
+    /// Completed rounds. Under Poisson clocks a round ends when every live
+    /// particle has been activated at least once since it began (Section
+    /// 2.1); under the checkerboard it is one pass over the four colors.
+    #[must_use]
+    pub fn rounds(&self) -> u64 {
+        self.rounds
     }
 
-    /// The tails of all particles (heads ignored; Section 2.2 footnote 2).
-    pub(crate) fn tail_system(&self) -> ParticleSystem {
-        ParticleSystem::new(self.particles.iter().map(|p| p.tail))
+    /// Total particle activations processed.
+    #[must_use]
+    pub fn activations(&self) -> u64 {
+        self.activations
+    }
+
+    /// Completed moves (forward contractions).
+    #[must_use]
+    pub fn moves_completed(&self) -> u64 {
+        self.moves_completed
+    }
+
+    /// Telemetry probes accumulated since construction (or since the last
+    /// restore — probes are not part of snapshots).
+    #[must_use]
+    pub fn probes(&self) -> &LocalProbes {
+        &self.probes
+    }
+
+    /// Number of particles.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.table.particles.len()
+    }
+
+    /// `true` if the runner has no particles (constructors forbid this).
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.table.particles.is_empty()
+    }
+
+    /// Whether particle `id` is currently expanded.
+    #[must_use]
+    pub fn is_expanded(&self, id: usize) -> bool {
+        self.table.particles[id].head.is_some()
+    }
+
+    /// The configuration as defined by the paper: tails of all particles
+    /// (heads ignored; Section 2.2 footnote 2).
+    #[must_use]
+    pub fn tail_system(&self) -> ParticleSystem {
+        ParticleSystem::new(self.table.particles.iter().map(|p| p.tail))
             .expect("tails are distinct by construction")
     }
 
-    /// Panics unless every particle's tail and head hold its own slot and
-    /// the grid holds nothing else.
-    pub(crate) fn assert_invariants(&self) {
-        self.occ.assert_valid();
+    /// Marks particle `id` crashed; `false` if it already was.
+    pub(crate) fn mark_crashed(&mut self, id: usize) -> bool {
+        let fresh = !std::mem::replace(&mut self.crashed[id], true);
+        self.live -= usize::from(fresh);
+        fresh
+    }
+
+    /// Counts one activation's `outcome`.
+    #[inline]
+    pub(crate) fn count(&mut self, outcome: Activation) {
+        self.activations += 1;
+        self.moves_completed += u64::from(matches!(outcome, Activation::ContractedForward { .. }));
+        self.probes.record(outcome);
+    }
+
+    /// Checks internal invariants (slot/particle agreement, tail
+    /// distinctness, grid consistency, the live count). Intended for tests.
+    ///
+    /// # Panics
+    ///
+    /// Panics if any invariant fails.
+    pub fn assert_invariants(&self) {
+        let table = &self.table;
+        table.occ.assert_valid();
         let mut slots = 0usize;
-        for (id, particle) in self.particles.iter().enumerate() {
+        for (id, particle) in table.particles.iter().enumerate() {
             assert_eq!(
-                self.occ.get(particle.tail),
+                table.occ.get(particle.tail),
                 Some(pack_slot(id, false, particle.head.is_some())),
                 "tail slot mismatch at {}",
                 particle.tail
@@ -669,15 +817,32 @@ impl ParticleTable {
             slots += 1;
             if let Some(h) = particle.head {
                 assert_eq!(
-                    self.occ.get(h),
+                    table.occ.get(h),
                     Some(pack_slot(id, true, true)),
                     "head slot mismatch at {h}"
                 );
                 slots += 1;
             }
         }
-        assert_eq!(slots, self.occ.len(), "slot count mismatch");
+        assert_eq!(slots, table.occ.len(), "slot count mismatch");
+        assert_eq!(
+            self.live,
+            self.crashed.iter().filter(|&&dead| !dead).count(),
+            "live count mismatch"
+        );
     }
+}
+
+/// The Poisson-clock schedule of [`LocalRunner`]: the future-event list,
+/// the clock, the one RNG stream, and which live particles the current
+/// round still awaits.
+#[derive(Clone, Debug)]
+pub struct PoissonClocks<R> {
+    queue: Calendar,
+    time: f64,
+    rng: R,
+    activated_in_round: Vec<bool>,
+    remaining_in_round: usize,
 }
 
 /// Discrete-event simulator for the asynchronous local algorithm `A`.
@@ -697,23 +862,7 @@ impl ParticleTable {
 /// assert!(tails.is_connected());
 /// assert!(tails.perimeter() < 22); // compressed below the initial line's 22
 /// ```
-#[derive(Clone, Debug)]
-pub struct LocalRunner<R: Rng = StdRng> {
-    table: ParticleTable,
-    queue: Calendar,
-    time: f64,
-    rng: R,
-    activations: u64,
-    moves_completed: u64,
-    rounds: u64,
-    /// Telemetry side channel: never serialized, never read by the
-    /// algorithm (see [`crate::probes`] for the determinism contract).
-    probes: LocalProbes,
-    activated_in_round: Vec<bool>,
-    remaining_in_round: usize,
-    crashed: Vec<bool>,
-    live: usize,
-}
+pub type LocalRunner<R = StdRng> = Runner<PoissonClocks<R>>;
 
 impl LocalRunner<StdRng> {
     /// Builds a runner with a [`StdRng`] seeded from `seed`.
@@ -742,23 +891,24 @@ impl LocalRunner<StdRng> {
     /// [`crate::snapshot`] for the format and guarantees.
     #[must_use]
     pub fn snapshot(&self) -> String {
+        let clocks = &self.schedule;
         let mut s = String::from("sops-local-snapshot v1\n");
         let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.table.lambda));
-        let _ = writeln!(s, "time={}", snapshot::f64_to_hex(self.time));
+        let _ = writeln!(s, "time={}", snapshot::f64_to_hex(clocks.time));
         let _ = writeln!(s, "activations={}", self.activations);
         let _ = writeln!(s, "moves={}", self.moves_completed);
         let _ = writeln!(s, "rounds={}", self.rounds);
-        let _ = writeln!(s, "remaining={}", self.remaining_in_round);
+        let _ = writeln!(s, "remaining={}", clocks.remaining_in_round);
         let _ = writeln!(s, "crashed={}", snapshot::bools_to_string(&self.crashed));
         let _ = writeln!(
             s,
             "activated={}",
-            snapshot::bools_to_string(&self.activated_in_round)
+            snapshot::bools_to_string(&clocks.activated_in_round)
         );
-        let _ = writeln!(s, "rng={}", snapshot::rng_to_string(&self.rng));
+        let _ = writeln!(s, "rng={}", snapshot::rng_to_string(&clocks.rng));
         self.table.write_particles(&mut s);
         s.push_str("queue=");
-        for (i, event) in self.queue.iter().enumerate() {
+        for (i, event) in clocks.queue.iter().enumerate() {
             if i > 0 {
                 s.push(';');
             }
@@ -779,8 +929,18 @@ impl LocalRunner<StdRng> {
     /// round bookkeeping that could never complete a round, bad λ).
     pub fn restore(text: &str) -> Result<LocalRunner<StdRng>, SnapshotError> {
         let fields = snapshot::Fields::parse(text, "sops-local-snapshot v1")?;
-        let table = ParticleTable::restore(&fields)?;
-        let n = table.len();
+        Runner::restore_with(&fields, |crashed| PoissonClocks::restore(&fields, crashed))
+    }
+}
+
+impl PoissonClocks<StdRng> {
+    /// Parses a snapshot's `time=`, `queue=`, `activated=`, `remaining=`
+    /// and `rng=` lines against the restored crash set.
+    fn restore(
+        fields: &snapshot::Fields<'_>,
+        crashed: &[bool],
+    ) -> Result<PoissonClocks<StdRng>, SnapshotError> {
+        let n = crashed.len();
         let time = fields.parse_f64_bits("time")?;
         if !time.is_finite() || time < 0.0 {
             return Err(SnapshotError::Invalid(format!("bad clock time {time}")));
@@ -813,8 +973,6 @@ impl LocalRunner<StdRng> {
             }
             queue.push(id, at);
         }
-        let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, n)?;
-        let live = crashed.iter().filter(|&&dead| !dead).count();
         // `run_rounds` completes a round only when `remaining` reaches 0, so
         // the round bookkeeping must match what `step` maintains: every
         // live particle holds a pending event, and `remaining` counts the
@@ -828,25 +986,19 @@ impl LocalRunner<StdRng> {
         let activated = snapshot::bools_from_string("activated", fields.get("activated")?, n)?;
         let remaining: usize = fields.parse_num("remaining")?;
         let waiting = (0..n).filter(|&id| !crashed[id] && !activated[id]).count();
-        let expected = if live == 0 { usize::MAX } else { waiting };
+        let all_crashed = crashed.iter().all(|&dead| dead);
+        let expected = if all_crashed { usize::MAX } else { waiting };
         if remaining != expected || remaining == 0 {
             return Err(SnapshotError::Invalid(format!(
                 "remaining={remaining}, but {waiting} live particles await activation"
             )));
         }
-        Ok(LocalRunner {
-            table,
+        Ok(PoissonClocks {
             queue,
             time,
             rng: snapshot::rng_from_string("rng", fields.get("rng")?)?,
-            activations: fields.parse_num("activations")?,
-            moves_completed: fields.parse_num("moves")?,
-            rounds: fields.parse_num("rounds")?,
-            probes: LocalProbes::default(),
             activated_in_round: activated,
             remaining_in_round: remaining,
-            crashed,
-            live,
         })
     }
 }
@@ -863,82 +1015,25 @@ impl<R: Rng> LocalRunner<R> {
         lambda: f64,
         mut rng: R,
     ) -> Result<LocalRunner<R>, ChainError> {
-        let table = ParticleTable::contracted(start, lambda)?;
-        let n = table.len();
-        let mut queue = Calendar::new(n);
-        for id in 0..n {
-            queue.push(id, exp1(&mut rng));
-        }
-        Ok(LocalRunner {
-            table,
-            queue,
-            time: 0.0,
-            rng,
-            activations: 0,
-            moves_completed: 0,
-            rounds: 0,
-            probes: LocalProbes::default(),
-            activated_in_round: vec![false; n],
-            remaining_in_round: n,
-            crashed: vec![false; n],
-            live: n,
+        Runner::contracted(start, lambda, |n| {
+            let mut queue = Calendar::new(n);
+            for id in 0..n {
+                queue.push(id, exp1(&mut rng));
+            }
+            PoissonClocks {
+                queue,
+                time: 0.0,
+                rng,
+                activated_in_round: vec![false; n],
+                remaining_in_round: n,
+            }
         })
-    }
-
-    /// The bias parameter `λ`.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.table.lambda
     }
 
     /// Simulated (continuous) time elapsed.
     #[must_use]
     pub fn time(&self) -> f64 {
-        self.time
-    }
-
-    /// Total particle activations processed.
-    #[must_use]
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Completed moves (forward contractions).
-    #[must_use]
-    pub fn moves_completed(&self) -> u64 {
-        self.moves_completed
-    }
-
-    /// Completed asynchronous rounds: a round ends when every live particle
-    /// has been activated at least once since the round began (Section 2.1).
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Telemetry probes accumulated since construction (or since the last
-    /// restore — probes are not part of snapshots).
-    #[must_use]
-    pub fn probes(&self) -> &LocalProbes {
-        &self.probes
-    }
-
-    /// Number of particles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` if the runner has no particles (constructors forbid this).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Whether particle `id` is currently expanded.
-    #[must_use]
-    pub fn is_expanded(&self, id: usize) -> bool {
-        self.table.is_expanded(id)
+        self.schedule.time
     }
 
     /// Crashes particle `id`: it never activates again (Section 3.3). If it
@@ -946,59 +1041,48 @@ impl<R: Rng> LocalRunner<R> {
     /// its neighborhood — the adversarial behavior the paper speculates
     /// about for Byzantine particles.
     pub fn crash(&mut self, id: usize) {
-        if !self.crashed[id] {
-            self.crashed[id] = true;
-            self.live -= 1;
-            // Round accounting ignores crashed particles from now on.
-            if !self.activated_in_round[id] {
-                self.remaining_in_round -= 1;
-                self.maybe_finish_round();
-            }
+        // Round accounting ignores crashed particles from now on.
+        if self.mark_crashed(id) && !self.schedule.activated_in_round[id] {
+            self.leave_round();
         }
-    }
-
-    /// The configuration as defined by the paper: tails of all particles
-    /// (heads ignored; Section 2.2 footnote 2).
-    #[must_use]
-    pub fn tail_system(&self) -> ParticleSystem {
-        self.table.tail_system()
     }
 
     /// Processes the next activation event. Returns `None` when no events
     /// remain (all particles crashed).
     pub fn step(&mut self) -> Option<Activation> {
-        let event = self.queue.pop()?;
-        self.time = event.time;
+        let event = self.schedule.queue.pop()?;
+        self.schedule.time = event.time;
         let id = event.id;
         if self.crashed[id] {
             return Some(Activation::Crashed { id });
         }
-        self.activations += 1;
-        let outcome = self.table.activate(id, &mut self.rng);
-        self.moves_completed += u64::from(matches!(outcome, Activation::ContractedForward { .. }));
-        self.probes.record(outcome);
+        let outcome = self.table.activate(id, &mut self.schedule.rng);
+        self.count(outcome);
         // Reschedule with a fresh Exp(1) delay.
-        self.queue.push(id, self.time + exp1(&mut self.rng));
-        // Round bookkeeping.
-        if !self.activated_in_round[id] {
-            self.activated_in_round[id] = true;
-            self.remaining_in_round -= 1;
-            self.maybe_finish_round();
+        let clocks = &mut self.schedule;
+        clocks.queue.push(id, clocks.time + exp1(&mut clocks.rng));
+        if !std::mem::replace(&mut clocks.activated_in_round[id], true) {
+            self.leave_round();
         }
         Some(outcome)
     }
 
-    fn maybe_finish_round(&mut self) {
-        if self.remaining_in_round == 0 {
+    /// One live particle of the current round was activated or crashed:
+    /// the round ends when none remains.
+    fn leave_round(&mut self) {
+        let clocks = &mut self.schedule;
+        clocks.remaining_in_round -= 1;
+        if clocks.remaining_in_round == 0 {
             self.rounds += 1;
-            for (id, slot) in self.activated_in_round.iter_mut().enumerate() {
+            for (id, slot) in clocks.activated_in_round.iter_mut().enumerate() {
                 *slot = self.crashed[id];
             }
-            self.remaining_in_round = self.live;
             // A system with zero live particles completes no further rounds.
-            if self.live == 0 {
-                self.remaining_in_round = usize::MAX;
-            }
+            clocks.remaining_in_round = if self.live == 0 {
+                usize::MAX
+            } else {
+                self.live
+            };
         }
     }
 
@@ -1019,16 +1103,6 @@ impl<R: Rng> LocalRunner<R> {
                 break;
             }
         }
-    }
-
-    /// Checks internal invariants (slot/particle agreement, tail
-    /// distinctness, grid consistency). Intended for tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invariant fails.
-    pub fn assert_invariants(&self) {
-        self.table.assert_invariants();
     }
 }
 
@@ -1247,7 +1321,7 @@ mod tests {
         let mut a = runner(6, 4.0, 3);
         a.run_activations(7);
         let snap = a.snapshot();
-        let remaining = a.remaining_in_round;
+        let remaining = a.schedule.remaining_in_round;
         assert!(LocalRunner::restore(&snap).is_ok());
         // Unbounded `run_rounds` loop: the round can never reach zero.
         assert_invalid(&with_field(
@@ -1354,7 +1428,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(4);
         let start = ParticleSystem::connected(shapes::random_connected(2000, &mut rng)).unwrap();
         let mut r = LocalRunner::from_seed(&start, 4.0, 4).unwrap();
-        assert!(r.queue.heads.len() >= 4096);
+        assert!(r.schedule.queue.heads.len() >= 4096);
         for id in 1..r.len() {
             r.crash(id);
         }

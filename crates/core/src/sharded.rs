@@ -10,15 +10,18 @@
 //! a single stream in global event-time order.
 //!
 //! [`ShardedLocalRunner`] runs the *particle rule* of Algorithm `A` —
-//! steps 1–13, including the `flag` serialization protocol and the `N*`
-//! neighborhoods — from its one home in [`crate::local`], and shares that
-//! module's particle table. This module adds no copy of the rule: it
-//! supplies a second neighborhood view (one region cell plus its halo) and
-//! replaces the Poisson clocks with a fixed synchronous schedule built on
-//! [`RegionMap`]: each round visits the four checkerboard colors in order;
-//! within a color, every region holding at least one live particle
-//! activates its particles once each, in particle-id order, consuming a
-//! private RNG stream seeded by SplitMix64-style mixing of
+//! steps 1–13, including the `flag` serialization protocol, the `N*`
+//! neighborhoods and step 11's use of `M`'s
+//! [`Acceptance`](crate::sampler::Acceptance) filter — from its one home in
+//! [`crate::local`], and is that module's [`Runner`]: the same particle
+//! table, counters, crash set, probes and accessors. This module adds no
+//! copy of the rule or of the runner shell: it supplies a second
+//! neighborhood view (one region cell plus its halo) and a second schedule,
+//! [`Checkerboard`], in place of the Poisson clocks — a fixed synchronous
+//! schedule built on [`RegionMap`]: each round visits the four checkerboard
+//! colors in order; within a color, every region holding at least one live
+//! particle activates its particles once each, in particle-id order,
+//! consuming a private RNG stream seeded by SplitMix64-style mixing of
 //! `(seed, region, round)`. Regions of the same color are at least one
 //! full region apart — farther than the rule's read radius of 2 sites — so
 //! their updates commute and the trajectory is a pure function of
@@ -71,7 +74,7 @@ use sops_lattice::{RegionId, RegionMap, TileGrid, TriMap, TriPoint, REGION_COLOR
 use sops_system::ParticleSystem;
 
 use crate::chain::ChainError;
-use crate::local::{activate_one, occupy, Activation, Particle, ParticleTable, World};
+use crate::local::{activate_one, occupy, Particle, Runner, World};
 use crate::probes::LocalProbes;
 use crate::snapshot::{self, SnapshotError};
 
@@ -258,7 +261,7 @@ pub struct ShardTask {
     cell: Box<RegionCell>,
     halo: Vec<Arc<Rim>>,
     stream: u64,
-    lambda_pow: [f64; 11],
+    accept: [f64; 11],
     map: RegionMap,
 }
 
@@ -313,7 +316,7 @@ impl ShardTask {
                     continue;
                 }
                 world.at = at;
-                probes.record(activate_one(&mut world, id, &self.lambda_pow, &mut rng));
+                probes.record(activate_one(&mut world, id, &self.accept, &mut rng));
             }
             world.emigrants
         });
@@ -365,6 +368,14 @@ impl StepExecutor for SerialExecutor {
 /// neighbor lookups; the schedule sorts the regions it visits.
 type Cells = TriMap<RegionId, Box<RegionCell>>;
 
+/// The checkerboard schedule of [`ShardedLocalRunner`]: the base seed of
+/// the region streams and the region decomposition.
+#[derive(Clone, Copy, Debug)]
+pub struct Checkerboard {
+    seed: u64,
+    map: RegionMap,
+}
+
 /// The checkerboard-scheduled local algorithm (see the module docs).
 ///
 /// # Example
@@ -380,20 +391,7 @@ type Cells = TriMap<RegionId, Box<RegionCell>>;
 /// b.run_rounds_with(50, &SerialExecutor); // sharded machinery
 /// assert_eq!(a.snapshot(), b.snapshot()); // byte-identical
 /// ```
-#[derive(Clone, Debug)]
-pub struct ShardedLocalRunner {
-    /// Particles and flat occupancy — authoritative between `run_rounds*`
-    /// calls.
-    table: ParticleTable,
-    seed: u64,
-    map: RegionMap,
-    rounds: u64,
-    activations: u64,
-    moves_completed: u64,
-    crashed: Vec<bool>,
-    live: usize,
-    probes: LocalProbes,
-}
+pub type ShardedLocalRunner = Runner<Checkerboard>;
 
 impl ShardedLocalRunner {
     /// Builds a runner with the default region size
@@ -423,96 +421,29 @@ impl ShardedLocalRunner {
         seed: u64,
         region_tiles: u32,
     ) -> Result<ShardedLocalRunner, ChainError> {
-        let table = ParticleTable::contracted(start, lambda)?;
-        let n = table.len();
-        Ok(ShardedLocalRunner {
-            table,
+        Runner::contracted(start, lambda, |_| Checkerboard {
             seed,
             map: RegionMap::new(region_tiles),
-            rounds: 0,
-            activations: 0,
-            moves_completed: 0,
-            crashed: vec![false; n],
-            live: n,
-            probes: LocalProbes::default(),
         })
-    }
-
-    /// The bias parameter `λ`.
-    #[must_use]
-    pub fn lambda(&self) -> f64 {
-        self.table.lambda
     }
 
     /// The region decomposition this runner schedules over.
     #[must_use]
     pub fn region_map(&self) -> RegionMap {
-        self.map
-    }
-
-    /// Completed rounds (each: the four colors in order, every live
-    /// particle activated exactly once — migrants excepted, see the module
-    /// docs).
-    #[must_use]
-    pub fn rounds(&self) -> u64 {
-        self.rounds
-    }
-
-    /// Total particle activations processed.
-    #[must_use]
-    pub fn activations(&self) -> u64 {
-        self.activations
-    }
-
-    /// Completed moves (forward contractions).
-    #[must_use]
-    pub fn moves_completed(&self) -> u64 {
-        self.moves_completed
-    }
-
-    /// Telemetry probes accumulated since construction (or restore).
-    #[must_use]
-    pub fn probes(&self) -> &LocalProbes {
-        &self.probes
-    }
-
-    /// Number of particles.
-    #[must_use]
-    pub fn len(&self) -> usize {
-        self.table.len()
-    }
-
-    /// `true` if the runner has no particles (constructors forbid this).
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.table.is_empty()
-    }
-
-    /// Whether particle `id` is currently expanded.
-    #[must_use]
-    pub fn is_expanded(&self, id: usize) -> bool {
-        self.table.is_expanded(id)
+        self.schedule.map
     }
 
     /// Crashes particle `id`: it never activates again but keeps occupying
     /// its sites (frozen mid-expansion if expanded), exactly like the
     /// asynchronous runner.
     pub fn crash(&mut self, id: usize) {
-        if !self.crashed[id] {
-            self.crashed[id] = true;
-            self.live -= 1;
-        }
-    }
-
-    /// The configuration as defined by the paper: tails of all particles.
-    #[must_use]
-    pub fn tail_system(&self) -> ParticleSystem {
-        self.table.tail_system()
+        self.mark_crashed(id);
     }
 
     /// Runs `r` rounds with the **unsharded reference** implementation:
     /// one flat grid, one sequential pass in schedule order.
     pub fn run_rounds(&mut self, r: u64) {
+        let Checkerboard { seed, map } = self.schedule;
         for _ in 0..r {
             let round = self.rounds;
             for color in 0..REGION_COLORS {
@@ -524,20 +455,16 @@ impl ShardedLocalRunner {
                     if self.crashed[id] {
                         continue;
                     }
-                    let region = self.map.region_of(p.tail);
+                    let region = map.region_of(p.tail);
                     if RegionMap::color(region) == color {
                         buckets.entry(region).or_default().push(id);
                     }
                 }
                 for (region, ids) in &buckets {
-                    let mut rng =
-                        StdRng::seed_from_u64(region_stream_seed(self.seed, *region, round));
+                    let mut rng = StdRng::seed_from_u64(region_stream_seed(seed, *region, round));
                     for &id in ids {
-                        self.activations += 1;
                         let outcome = self.table.activate(id, &mut rng);
-                        self.moves_completed +=
-                            u64::from(matches!(outcome, Activation::ContractedForward { .. }));
-                        self.probes.record(outcome);
+                        self.count(outcome);
                     }
                 }
             }
@@ -587,9 +514,9 @@ impl ShardedLocalRunner {
                 ShardTask {
                     cell: cells.remove(region).expect("active cell exists"),
                     halo,
-                    stream: region_stream_seed(self.seed, *region, self.rounds),
-                    lambda_pow: self.table.lambda_pow,
-                    map: self.map,
+                    stream: region_stream_seed(self.schedule.seed, *region, self.rounds),
+                    accept: self.table.accept,
+                    map: self.schedule.map,
                 }
             })
             .collect();
@@ -601,6 +528,7 @@ impl ShardedLocalRunner {
     /// cells they joined refreshed.
     fn merge(&mut self, cells: &mut Cells, active: &[RegionId], outs: Vec<ShardStepOut>) {
         assert_eq!(outs.len(), active.len(), "executor dropped tasks");
+        let map = self.schedule.map;
         let mut dirty: Vec<RegionId> = Vec::new();
         for (region, out) in active.iter().zip(outs) {
             debug_assert_eq!(*region, out.cell.region, "executor reordered outputs");
@@ -614,7 +542,7 @@ impl ShardedLocalRunner {
                 cells.insert(*region, out.cell);
             }
             for (id, p) in out.emigrants {
-                let dest = self.map.region_of(p.tail);
+                let dest = map.region_of(p.tail);
                 debug_assert!(RegionMap::are_adjacent(*region, dest));
                 cells
                     .entry(dest)
@@ -629,15 +557,16 @@ impl ShardedLocalRunner {
             cells
                 .get_mut(&dest)
                 .expect("emigrants joined this cell")
-                .export_rim(&self.map);
+                .export_rim(&map);
         }
     }
 
     /// Builds the sharded representation from the flat state.
     fn build_cells(&self) -> Cells {
+        let map = &self.schedule.map;
         let mut cells = Cells::default();
         for (id, p) in self.table.particles.iter().enumerate() {
-            let region = self.map.region_of(p.tail);
+            let region = map.region_of(p.tail);
             let cell = cells
                 .entry(region)
                 .or_insert_with(|| Box::new(RegionCell::new(region)));
@@ -647,7 +576,7 @@ impl ShardedLocalRunner {
             }
         }
         for cell in cells.values_mut() {
-            cell.export_rim(&self.map);
+            cell.export_rim(map);
         }
         cells
     }
@@ -676,8 +605,8 @@ impl ShardedLocalRunner {
         use core::fmt::Write as _;
         let mut s = String::from("sops-sharded-snapshot v1\n");
         let _ = writeln!(s, "lambda={}", snapshot::f64_to_hex(self.table.lambda));
-        let _ = writeln!(s, "seed={}", self.seed);
-        let _ = writeln!(s, "region_tiles={}", self.map.region_tiles());
+        let _ = writeln!(s, "seed={}", self.schedule.seed);
+        let _ = writeln!(s, "region_tiles={}", self.schedule.map.region_tiles());
         let _ = writeln!(s, "rounds={}", self.rounds);
         let _ = writeln!(s, "activations={}", self.activations);
         let _ = writeln!(s, "moves={}", self.moves_completed);
@@ -700,43 +629,19 @@ impl ShardedLocalRunner {
     // are counted, not event-driven, so every field only shapes the state.
     pub fn restore(text: &str) -> Result<ShardedLocalRunner, SnapshotError> {
         let fields = snapshot::Fields::parse(text, "sops-sharded-snapshot v1")?;
-        let table = ParticleTable::restore(&fields)?;
-        let crashed = snapshot::bools_from_string("crashed", fields.get("crashed")?, table.len())?;
-        let live = crashed.iter().filter(|&&dead| !dead).count();
-        let seed = fields.parse_num("seed")?;
-        // A value `RegionMap::new` would clamp re-snapshots to other bytes.
-        let region_tiles: u32 = fields.parse_num("region_tiles")?;
-        if !(1..=MAX_REGION_TILES).contains(&region_tiles) {
-            return Err(SnapshotError::Invalid(format!(
-                "region_tiles={region_tiles} outside 1..={MAX_REGION_TILES}"
-            )));
-        }
-        Ok(ShardedLocalRunner {
-            table,
-            seed,
-            map: RegionMap::new(region_tiles),
-            rounds: fields.parse_num("rounds")?,
-            activations: fields.parse_num("activations")?,
-            moves_completed: fields.parse_num("moves")?,
-            crashed,
-            live,
-            probes: LocalProbes::default(),
+        Runner::restore_with(&fields, |_| {
+            // A value `RegionMap::new` would clamp re-snapshots to other bytes.
+            let region_tiles: u32 = fields.parse_num("region_tiles")?;
+            if !(1..=MAX_REGION_TILES).contains(&region_tiles) {
+                return Err(SnapshotError::Invalid(format!(
+                    "region_tiles={region_tiles} outside 1..={MAX_REGION_TILES}"
+                )));
+            }
+            Ok(Checkerboard {
+                seed: fields.parse_num("seed")?,
+                map: RegionMap::new(region_tiles),
+            })
         })
-    }
-
-    /// Checks internal invariants (slot/particle agreement, tail
-    /// distinctness, grid consistency). Intended for tests.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any invariant fails.
-    pub fn assert_invariants(&self) {
-        self.table.assert_invariants();
-        assert_eq!(
-            self.live,
-            self.crashed.iter().filter(|&&dead| !dead).count(),
-            "live count mismatch"
-        );
     }
 }
 
@@ -941,7 +846,7 @@ mod tests {
                         let world = CellWorld {
                             cell: &mut task.cell,
                             halo: &halo,
-                            map: runner.map,
+                            map: runner.schedule.map,
                             at: 0,
                             emigrants: Vec::new(),
                         };

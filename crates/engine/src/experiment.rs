@@ -614,19 +614,13 @@ fn grid_from(section: &Section, defaults: &GridSpec) -> Result<GridSpec, ParseEr
             "ns" => {
                 grid.ns = axis_items(value, ctx)?
                     .into_iter()
-                    .map(|v| match as_u64(v, ctx)? {
-                        0 => Err(ctx.err("particle counts must be positive")),
-                        n => Ok(n as usize),
-                    })
+                    .map(|v| as_u64(v, ctx).map(|n| n as usize))
                     .collect::<Result<_, _>>()?;
             }
             "lambdas" => {
                 grid.lambdas = axis_items(value, ctx)?
                     .into_iter()
-                    .map(|v| match as_f64(v, ctx)? {
-                        l if l > 0.0 => Ok(l),
-                        _ => Err(ctx.err("the bias lambda must be positive")),
-                    })
+                    .map(|v| as_f64(v, ctx))
                     .collect::<Result<_, _>>()?;
             }
             "hamiltonians" => {
@@ -653,27 +647,22 @@ fn grid_from(section: &Section, defaults: &GridSpec) -> Result<GridSpec, ParseEr
                     })
                     .collect::<Result<_, _>>()?;
             }
-            "reps" => {
-                grid.reps = as_u64(value, ctx)?;
-                if grid.reps == 0 {
-                    return Err(ctx.err("at least one repetition is required"));
-                }
-            }
+            "reps" => grid.reps = as_u64(value, ctx)?,
             "burnin" => grid.burnin = as_u64(value, ctx)?,
             "steps" => grid.steps = as_u64(value, ctx)?,
             "samples" => grid.samples = as_u64(value, ctx)?,
-            "until_alpha" => {
-                let alpha = as_f64(value, ctx)?;
-                if alpha <= 0.0 {
-                    return Err(ctx.err("the first-hit target alpha must be positive"));
-                }
-                grid.until_alpha = Some(alpha);
-            }
+            "until_alpha" => grid.until_alpha = Some(as_f64(value, ctx)?),
             // The top-level section also carries `name`/`seed`; unknown keys
             // were rejected before interpretation.
             _ => {}
         }
     }
+    // The defaults passed validation, so the offending key is this
+    // section's own.
+    grid.validate().map_err(|err| {
+        let line = section.entries.iter().find(|(k, _, _)| k == err.key);
+        ParseError::new(line.and_then(|(_, _, l)| *l), Some(err.key), err.message)
+    })?;
     Ok(grid)
 }
 

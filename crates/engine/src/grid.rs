@@ -436,7 +436,41 @@ impl Default for GridSpec {
     }
 }
 
+/// A [`GridSpec`] value no job can run with: the key it sits under and why.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct GridError {
+    /// The offending key, as experiment files spell it.
+    pub key: &'static str,
+    /// Why its value is rejected.
+    pub message: &'static str,
+}
+
 impl GridSpec {
+    /// Checks the values every job of the grid needs: positive particle
+    /// counts, positive finite biases, at least one repetition, and a
+    /// positive first-hit target. Experiment files and `sops-cli sweep`
+    /// both call it, so the two builders reject the same grids.
+    ///
+    /// # Errors
+    ///
+    /// The first offending key, in the order above.
+    pub fn validate(&self) -> Result<(), GridError> {
+        let fail = |key, message| Err(GridError { key, message });
+        if self.ns.contains(&0) {
+            return fail("ns", "particle counts must be positive");
+        }
+        if self.lambdas.iter().any(|&l| l <= 0.0 || !l.is_finite()) {
+            return fail("lambdas", "the bias lambda must be positive and finite");
+        }
+        if self.reps == 0 {
+            return fail("reps", "at least one repetition is required");
+        }
+        if self.until_alpha.is_some_and(|a| a <= 0.0 || a.is_nan()) {
+            return fail("until_alpha", "the first-hit target alpha must be positive");
+        }
+        Ok(())
+    }
+
     /// Materializes the cross product in the canonical order
     /// algorithm (× hamiltonian) → shape → n → λ → crash → rep, with ids
     /// and child seeds of `base_seed` assigned.

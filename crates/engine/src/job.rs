@@ -330,37 +330,50 @@ impl<H: Hamiltonian> Simulator for KmcChain<StdRng, H> {
     }
 }
 
+/// The [`Simulator`] methods both runners of algorithm `A` share. Each
+/// runner's `snapshot` and `crash` belong to its schedule, so the two impls
+/// share them as text, not through a generic impl.
+macro_rules! local_runner_methods {
+    () => {
+        fn snapshot(&self) -> String {
+            self.snapshot()
+        }
+
+        fn len(&self) -> usize {
+            self.len()
+        }
+
+        fn work(&self) -> u64 {
+            self.rounds()
+        }
+
+        fn perimeter(&mut self) -> u64 {
+            self.tail_system().perimeter()
+        }
+
+        fn final_state(&mut self) -> (u64, u64, bool) {
+            tail_state(&self.tail_system())
+        }
+
+        fn crash(&mut self, id: usize) {
+            self.crash(id);
+        }
+    };
+}
+
 impl Simulator for LocalRunner {
+    local_runner_methods!();
+
     fn kind(&self) -> &'static str {
         "local"
-    }
-
-    fn snapshot(&self) -> String {
-        self.snapshot()
-    }
-
-    fn len(&self) -> usize {
-        self.len()
-    }
-
-    fn work(&self) -> u64 {
-        self.rounds()
     }
 
     fn advance(&mut self, delta: u64, _shards: usize) {
         self.run_rounds(delta);
     }
 
-    fn perimeter(&mut self) -> u64 {
-        self.tail_system().perimeter()
-    }
-
-    fn final_state(&mut self) -> (u64, u64, bool) {
-        tail_state(&self.tail_system())
-    }
-
     fn drain_probes(&self, sheet: &mut Sheet, completed: bool) {
-        drain_local_probes(sheet, "local", self.probes());
+        drain_local_probes(sheet, self.kind(), self.probes());
         // Simulated (continuous Poisson-clock) elapsed time, summed over
         // the sweep's local-algorithm jobs. Unlike the probes, `time()` is
         // simulation state that survives restore, so it is recorded once
@@ -369,47 +382,21 @@ impl Simulator for LocalRunner {
             sheet.gauge_add("local.sim_time", self.time());
         }
     }
-
-    fn crash(&mut self, id: usize) {
-        self.crash(id);
-    }
 }
 
 impl Simulator for ShardedLocalRunner {
+    local_runner_methods!();
+
     fn kind(&self) -> &'static str {
         "local-sharded"
-    }
-
-    fn snapshot(&self) -> String {
-        self.snapshot()
-    }
-
-    fn len(&self) -> usize {
-        self.len()
-    }
-
-    fn work(&self) -> u64 {
-        self.rounds()
     }
 
     fn advance(&mut self, delta: u64, shards: usize) {
         self.run_rounds_with(delta, &PoolExecutor::new(shards));
     }
 
-    fn perimeter(&mut self) -> u64 {
-        self.tail_system().perimeter()
-    }
-
-    fn final_state(&mut self) -> (u64, u64, bool) {
-        tail_state(&self.tail_system())
-    }
-
     fn drain_probes(&self, sheet: &mut Sheet, _completed: bool) {
-        drain_local_probes(sheet, "local-sharded", self.probes());
-    }
-
-    fn crash(&mut self, id: usize) {
-        self.crash(id);
+        drain_local_probes(sheet, self.kind(), self.probes());
     }
 }
 

@@ -157,4 +157,14 @@ fn each_sampler_rejects_the_other_samplers_snapshot() {
             SnapshotError::WrongHeader { .. }
         ));
     }
+    // The two runners of `A` are one type over two schedules; their
+    // formats stay apart.
+    assert!(matches!(
+        LocalRunner::restore(LOCAL_SHARDED_CRASHED).unwrap_err(),
+        SnapshotError::WrongHeader { .. }
+    ));
+    assert!(matches!(
+        ShardedLocalRunner::restore(LOCAL_CRASHED_MIDROUND).unwrap_err(),
+        SnapshotError::WrongHeader { .. }
+    ));
 }

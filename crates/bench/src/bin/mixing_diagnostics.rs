@@ -16,6 +16,7 @@
 use sops::analysis::table::{fmt_f64, Table};
 use sops::analysis::timeseries::{block_means, integrated_autocorrelation_time};
 use sops::prelude::*;
+use sops_bench::cli::usage_error;
 use sops_bench::{help, out, Args};
 use sops_engine::{run_sweep, Algorithm, EngineConfig, ExperimentSpec};
 
@@ -35,10 +36,9 @@ fn main() {
     // `--hamiltonian alignment[:q]` measures the alignment dynamics'
     // convergence on the same observable.
     let algo: Algorithm = args.algorithm("chain");
-    assert!(
-        algo.is_chain_sampler(),
-        "--algo must be chain or chain-kmc (diagnostics are chain-step-indexed)"
-    );
+    if !algo.is_chain_sampler() {
+        usage_error("--algo must be chain or chain-kmc (diagnostics are chain-step-indexed)");
+    }
 
     println!("# E15 / Section 3.7 — convergence diagnostics of chain M ({algo})");
     println!("n = {n}, {sweeps} sweeps (1 sweep = n iterations), perimeter observable\n");

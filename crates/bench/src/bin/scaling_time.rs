@@ -16,6 +16,7 @@
 use sops::analysis::stats::Summary;
 use sops::analysis::table::{fmt_f64, Table};
 use sops::analysis::LinearFit;
+use sops_bench::cli::usage_error;
 use sops_bench::{help, out, Args};
 use sops_engine::{run_sweep, Algorithm, EngineConfig, ExperimentSpec};
 
@@ -36,10 +37,11 @@ fn main() {
     // `--hamiltonian alignment[:q]` times compression under the alignment
     // bias instead (perimeter first hits remain well-defined).
     let algo: Algorithm = args.algorithm("chain");
-    assert!(
-        algo.is_chain_sampler(),
-        "--algo must be chain or chain-kmc (first-hit mode only exists for the chain samplers)"
-    );
+    if !algo.is_chain_sampler() {
+        usage_error(
+            "--algo must be chain or chain-kmc (first-hit mode only exists for the chain samplers)",
+        );
+    }
     let reps = args.get_u64("reps", if quick { 2 } else { 5 });
     let sizes: Vec<usize> = if quick {
         vec![12, 25, 50]

@@ -13,6 +13,11 @@
 //! best possible efficiency) and the *speedup* across the worker ladder
 //! (≈ min(workers, cores) when regions are plentiful and balanced).
 //!
+//! The `local` rows time the asynchronous runner over the same start:
+//! inline against its Poisson-clock schedule pipelined with its activations
+//! on two workers, checked byte-equal the same way. Their speedup is over
+//! the inline row.
+//!
 //! ```sh
 //! cargo run --release -p sops-bench --bin shard_scaling
 //! cargo run --release -p sops-bench --bin shard_scaling -- --quick --metrics
@@ -21,6 +26,7 @@
 use std::time::Instant;
 
 use sops::analysis::table::{fmt_f64, Table};
+use sops::core::local::LocalRunner;
 use sops::core::sharded::ShardedLocalRunner;
 use sops::system::{shapes, ParticleSystem};
 use sops_bench::{help, out, Args};
@@ -81,13 +87,14 @@ fn main() {
     let mut table = Table::new([
         "path", "workers", "median s", "min s", "rounds/s", "activ/s", "speedup",
     ]);
-    let mut ref_median = None;
-    let mut ref_fnv = None;
+    let mut flat = None;
     for &workers in ladder {
-        let mut times = Vec::new();
-        let mut state_hash = 0;
-        let mut activations = 0;
-        for _ in 0..reps {
+        let (path, shown) = if workers == 0 {
+            ("flat", "-".to_string())
+        } else {
+            ("sharded", workers.to_string())
+        };
+        let runs = time_runs(&format!("{path} {shown}"), reps, || {
             let mut runner =
                 ShardedLocalRunner::from_seed(&start, lambda, seed).expect("valid start");
             let t0 = Instant::now();
@@ -96,57 +103,49 @@ fn main() {
             } else {
                 runner.run_rounds_with(rounds, &PoolExecutor::new(workers));
             }
-            times.push(t0.elapsed().as_secs_f64());
-            state_hash = fnv(runner.snapshot().as_bytes());
-            activations = runner.activations();
-        }
+            (
+                t0.elapsed().as_secs_f64(),
+                runner.snapshot(),
+                runner.activations(),
+            )
+        });
+        let reference = *flat.get_or_insert(runs);
         // The gate before any number is reported: byte-identical state.
-        match ref_fnv {
-            None => ref_fnv = Some(state_hash),
-            Some(expected) => assert_eq!(
-                state_hash, expected,
-                "state diverged at {workers} workers — sharding bug, numbers void"
-            ),
-        }
-        times.sort_by(f64::total_cmp);
-        let median = times[times.len() / 2];
-        let min = times.iter().copied().fold(f64::INFINITY, f64::min);
-        let speedup = ref_median.map_or_else(
-            || {
-                ref_median = Some(median);
-                "1.00 (ref)".to_string()
-            },
-            |r: f64| fmt_f64(r / median, 2),
+        assert_eq!(
+            runs.state, reference.state,
+            "state diverged at {workers} workers — sharding bug, numbers void"
         );
-        table.row([
-            if workers == 0 { "flat" } else { "sharded" }.to_string(),
-            if workers == 0 {
-                "-".to_string()
-            } else {
-                workers.to_string()
-            },
-            fmt_f64(median, 3),
-            fmt_f64(min, 3),
-            fmt_f64(rounds as f64 / median, 2),
-            fmt_f64(activations as f64 / median, 0),
-            speedup,
-        ]);
-        println!(
-            "runs ({}): {:?}",
-            if workers == 0 {
-                "flat".to_string()
-            } else {
-                format!("{workers}w")
-            },
-            times
-                .iter()
-                .map(|t| (t * 1000.0).round() / 1000.0)
-                .collect::<Vec<_>>()
-        );
+        table.row(runs.row(path, shown, rounds, &reference));
     }
     println!(
         "\ndifferential: all paths byte-identical (state fnv {:#018x})",
-        ref_fnv.unwrap_or(0)
+        flat.map_or(0, |runs| runs.state)
+    );
+
+    // `local`: one event queue, inline against its schedule pipelined with
+    // its activations on two workers.
+    let mut inline = None;
+    for workers in [1, 2] {
+        let runs = time_runs(&format!("local {workers}"), reps, || {
+            let mut runner = LocalRunner::from_seed(&start, lambda, seed).expect("valid start");
+            let t0 = Instant::now();
+            runner.run_rounds_with(rounds, workers);
+            (
+                t0.elapsed().as_secs_f64(),
+                runner.snapshot(),
+                runner.activations(),
+            )
+        });
+        let reference = *inline.get_or_insert(runs);
+        assert_eq!(
+            runs.state, reference.state,
+            "local state diverged at {workers} workers — pipeline bug, numbers void"
+        );
+        table.row(runs.row("local", workers.to_string(), rounds, &reference));
+    }
+    println!(
+        "local differential: inline and 2 workers byte-identical (state fnv {:#018x})",
+        inline.map_or(0, |runs| runs.state)
     );
     out::emit("shard_scaling", &table).expect("write results");
 
@@ -177,6 +176,64 @@ fn main() {
         let path =
             out::write_metrics("shard_scaling", &report.metrics_json()).expect("write metrics");
         eprintln!("(metrics: {})", path.display());
+    }
+}
+
+/// The timings of `reps` runs of one path, and the state they reached.
+#[derive(Clone, Copy)]
+struct Runs {
+    median: f64,
+    min: f64,
+    /// FNV-1a of the final snapshot, the same in every run.
+    state: u64,
+    activations: u64,
+}
+
+/// Runs `run` `reps` times, and prints the times under `label`. Each run returns its time, its final snapshot
+/// and its activation count; every snapshot must be the same.
+fn time_runs(label: &str, reps: u64, mut run: impl FnMut() -> (f64, String, u64)) -> Runs {
+    let mut times = Vec::new();
+    let mut state = None;
+    let mut activations = 0;
+    for _ in 0..reps {
+        let (time, snapshot, count) = run();
+        let hash = fnv(snapshot.as_bytes());
+        assert_eq!(
+            *state.get_or_insert(hash),
+            hash,
+            "a path is not deterministic"
+        );
+        times.push(time);
+        activations = count;
+    }
+    times.sort_by(f64::total_cmp);
+    println!(
+        "runs ({label}): {:?}",
+        times
+            .iter()
+            .map(|t| (t * 1000.0).round() / 1000.0)
+            .collect::<Vec<_>>()
+    );
+    Runs {
+        median: times[times.len() / 2],
+        min: times[0],
+        state: state.expect("at least one run"),
+        activations,
+    }
+}
+
+impl Runs {
+    /// A table row, with the speedup over `reference`.
+    fn row(&self, path: &str, workers: String, rounds: u64, reference: &Runs) -> [String; 7] {
+        [
+            path.to_string(),
+            workers,
+            fmt_f64(self.median, 3),
+            fmt_f64(self.min, 3),
+            fmt_f64(rounds as f64 / self.median, 2),
+            fmt_f64(self.activations as f64 / self.median, 0),
+            fmt_f64(reference.median / self.median, 2),
+        ]
     }
 }
 

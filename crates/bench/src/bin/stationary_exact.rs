@@ -19,6 +19,7 @@ use sops::analysis::table::{fmt_f64, Table};
 use sops::analysis::total_variation;
 use sops::enumerate::StateSpace;
 use sops::prelude::*;
+use sops_bench::cli::usage_error;
 use sops_bench::{out, Args};
 
 /// Either sampler of `M`; both share the stationary law, so the empirical
@@ -99,10 +100,10 @@ fn main() {
     let kmc = match algo {
         sops_engine::Algorithm::CHAIN => false,
         sops_engine::Algorithm::CHAIN_KMC => true,
-        other => panic!(
+        other => usage_error(&format!(
             "--algo: {other} has no exact-stationarity mode \
              (try chain|chain-kmc with the default edge-count hamiltonian)"
-        ),
+        )),
     };
 
     println!("# E8 / Lemma 3.13 — exact stationarity checks (empirical runs: {algo})\n");

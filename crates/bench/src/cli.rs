@@ -126,27 +126,26 @@ impl Args {
     /// `default`), then swaps in the requested Hamiltonian on the chain
     /// samplers (`--hamiltonian alignment:3` ≡ `--algo chain+alignment:3`).
     ///
-    /// # Panics
-    ///
-    /// Panics when either flag does not parse, or when `--hamiltonian` is
-    /// combined with an algorithm that does not take one.
+    /// Either flag failing to parse, or `--hamiltonian` given with an
+    /// algorithm that does not take one, is a usage error (status 2).
     #[must_use]
     pub fn algorithm(&self, default: &str) -> sops_engine::Algorithm {
         let algo: sops_engine::Algorithm = self
             .get_string("algo")
             .unwrap_or_else(|| default.into())
             .parse()
-            .unwrap_or_else(|err| panic!("--algo: {err}"));
+            .unwrap_or_else(|err| usage_error(&format!("--algo: {err}")));
         match self.get_string("hamiltonian") {
             None => algo,
             Some(raw) => {
                 let hamiltonian = raw
                     .parse()
-                    .unwrap_or_else(|err| panic!("--hamiltonian: {err}"));
-                assert!(
-                    algo.is_chain_sampler(),
-                    "--hamiltonian only applies to the chain samplers, not {algo}"
-                );
+                    .unwrap_or_else(|err| usage_error(&format!("--hamiltonian: {err}")));
+                if !algo.is_chain_sampler() {
+                    usage_error(&format!(
+                        "--hamiltonian only applies to the chain samplers, not {algo}"
+                    ));
+                }
                 algo.with_hamiltonian(hamiltonian)
             }
         }
@@ -181,7 +180,7 @@ impl Args {
 
 /// Prints `message` and exits with status 2, the usage-error code of every
 /// binary that parses its flags with [`Args`].
-fn usage_error(message: &str) -> ! {
+pub fn usage_error(message: &str) -> ! {
     eprintln!("{message}");
     std::process::exit(2)
 }

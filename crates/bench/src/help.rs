@@ -18,7 +18,11 @@ pub const ALGO_HELP: &str =
   chain-kmc      rejection-free kinetic sampler of M: the same distribution
                  step-for-step, but work per accepted move only — fastest in
                  strongly-rejecting regimes (high lambda equilibrium)
-  local          the asynchronous local algorithm A; work units are rounds
+  local          the asynchronous local algorithm A; work units are rounds.
+                 A different chain from M: its tails do not sample pi
+                 (total-variation distance 2e-2 to 7e-2 at n = 3..5);
+                 --shards 2 pipelines its clocks with its moves, with
+                 byte-identical results
   local-sharded  checkerboard-synchronous variant of A built for intra-run
                  sharding (--shards runs one simulation across cores);
                  byte-identical results at any worker count; work units are

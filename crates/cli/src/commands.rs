@@ -456,6 +456,9 @@ COMMANDS:
              --steps --burnin --samples --reps --until-alpha --seed --threads
              --checkpoint DIR --checkpoint-every W --stop-after K --out NAME
              --metrics --progress --quiet --strict-io --retry-failed --shards K
+             (run, sweep: --shards K workers within one job of A — the
+              regions of local-sharded, or local's clocks pipelined with
+              its moves at K >= 2; byte-identical results at any K)
   enumerate  exact configuration counts  --max-n
   saw        self-avoiding walk counts   --max-len
   render     draw a shape                --shape --n --seed --svg

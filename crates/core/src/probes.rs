@@ -64,6 +64,14 @@ impl LocalProbes {
         self.expanded + self.contracted_forward + self.contracted_back + self.idle
     }
 
+    /// Adds `other`'s counts to these.
+    pub(crate) fn add(&mut self, other: &LocalProbes) {
+        self.expanded += other.expanded;
+        self.contracted_forward += other.contracted_forward;
+        self.contracted_back += other.contracted_back;
+        self.idle += other.idle;
+    }
+
     /// Counts one activation outcome (a crashed activation counts nowhere).
     pub(crate) fn record(&mut self, outcome: Activation) {
         match outcome {

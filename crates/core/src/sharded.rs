@@ -5,9 +5,10 @@
 //!
 //! [`LocalRunner`](crate::local::LocalRunner) is a faithful asynchronous
 //! simulator: one global Poisson event queue, one sequential RNG stream.
-//! That trajectory is inherently serial — replaying it in parallel byte for
-//! byte is impossible, because every activation consumes the next draws of
-//! a single stream in global event-time order.
+//! Its activations are inherently serial — every one consumes the next
+//! draw of a single stream in global event-time order — so the most it can
+//! run in parallel is its schedule beside its activations
+//! ([`LocalRunner::run_rounds_with`](crate::local::LocalRunner::run_rounds_with)).
 //!
 //! [`ShardedLocalRunner`] runs the *particle rule* of Algorithm `A` —
 //! steps 1–13, including the `flag` serialization protocol, the `N*`
@@ -269,7 +270,6 @@ pub struct ShardTask {
 pub struct ShardStepOut {
     cell: Box<RegionCell>,
     emigrants: Vec<(usize, Particle)>,
-    activations: u64,
     probes: LocalProbes,
 }
 
@@ -321,7 +321,6 @@ impl ShardTask {
             world.emigrants
         });
         let ShardTask { mut cell, map, .. } = self;
-        let activations = cell.live() as u64;
         // Emigrants leave this cell — grid sites included — and the
         // coordinator routes them at the merge point.
         let mut emigrants: Vec<(usize, Particle)> = leaving
@@ -337,7 +336,6 @@ impl ShardTask {
         ShardStepOut {
             cell,
             emigrants,
-            activations,
             probes,
         }
     }
@@ -460,13 +458,14 @@ impl ShardedLocalRunner {
                         buckets.entry(region).or_default().push(id);
                     }
                 }
+                let mut outcomes = LocalProbes::default();
                 for (region, ids) in &buckets {
                     let mut rng = StdRng::seed_from_u64(region_stream_seed(seed, *region, round));
                     for &id in ids {
-                        let outcome = self.table.activate(id, &mut rng);
-                        self.count(outcome);
+                        outcomes.record(self.table.activate(id, &mut rng));
                     }
                 }
+                self.count(&outcomes);
             }
             self.rounds += 1;
         }
@@ -532,12 +531,7 @@ impl ShardedLocalRunner {
         let mut dirty: Vec<RegionId> = Vec::new();
         for (region, out) in active.iter().zip(outs) {
             debug_assert_eq!(*region, out.cell.region, "executor reordered outputs");
-            self.activations += out.activations;
-            self.moves_completed += out.probes.contracted_forward;
-            self.probes.expanded += out.probes.expanded;
-            self.probes.contracted_forward += out.probes.contracted_forward;
-            self.probes.contracted_back += out.probes.contracted_back;
-            self.probes.idle += out.probes.idle;
+            self.count(&out.probes);
             if !out.cell.particles.is_empty() {
                 cells.insert(*region, out.cell);
             }

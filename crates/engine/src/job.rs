@@ -55,9 +55,9 @@ pub(crate) struct JobContext<'a> {
     /// Armed fault-injection plan checked at the `job.step` point (the
     /// store and sink carry their own handles); `None` in production.
     pub(crate) faults: Option<&'a FaultPlan>,
-    /// Worker count for intra-run sharding of `local-sharded` jobs. Purely
-    /// an execution detail — results and checkpoints are byte-identical at
-    /// any value; 1 runs the sharded executor inline on the job's thread.
+    /// Worker count within one `local` or `local-sharded` job. Purely an
+    /// execution detail — results and checkpoints are byte-identical at
+    /// any value; 1 runs the job inline on its thread.
     pub(crate) shards: usize,
 }
 
@@ -78,8 +78,8 @@ trait Simulator {
     /// Runs `delta > 0` more work units, one call per stepping chunk; may
     /// stop short when the simulator can make no further progress (halted
     /// ablation, all-crashed local). `shards` selects the worker count for
-    /// `local-sharded` jobs (an execution detail — the trajectory is
-    /// identical at any value).
+    /// `local` and `local-sharded` jobs (an execution detail — the
+    /// trajectory is identical at any value).
     fn advance(&mut self, delta: u64, shards: usize);
     fn perimeter(&mut self) -> u64;
     /// `(perimeter, edges, connected)` of the final configuration.
@@ -368,8 +368,8 @@ impl Simulator for LocalRunner {
         "local"
     }
 
-    fn advance(&mut self, delta: u64, _shards: usize) {
-        self.run_rounds(delta);
+    fn advance(&mut self, delta: u64, shards: usize) {
+        self.run_rounds_with(delta, shards);
     }
 
     fn drain_probes(&self, sheet: &mut Sheet, completed: bool) {

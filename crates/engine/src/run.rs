@@ -57,13 +57,17 @@ pub struct EngineConfig {
     /// skipped and reported in [`SweepReport::failed`], so a crashing job
     /// cannot wedge resume into re-failing forever.
     pub retry_failed: bool,
-    /// Worker count for *intra-run* sharding of `local-sharded` jobs (the
-    /// checkerboard-synchronous local algorithm, `sops_core::sharded`).
+    /// Worker count *within* one job of algorithm `A`. A `local-sharded`
+    /// job (the checkerboard-synchronous variant, `sops_core::sharded`)
+    /// runs each color step's regions on this many workers. A `local` job
+    /// at 2 or more pipelines its Poisson-clock schedule with its
+    /// activations on one helper thread per stepping chunk
+    /// (`LocalRunner::run_rounds_with`); a chunk under
+    /// `sops_core::local::PIPELINE_MIN_EVENTS` expected events runs inline.
     /// Like [`EngineConfig::threads`], a pure execution detail: results,
     /// checkpoints and events are byte-identical at any value. 1 (the
-    /// default) runs each job's sharded rounds inline on its worker
-    /// thread; checkpoints carry no shard count and resume portably across
-    /// values.
+    /// default) runs every job inline on its worker thread; checkpoints
+    /// carry no shard count and resume portably across values.
     pub shards: usize,
 }
 

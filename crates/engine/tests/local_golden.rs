@@ -14,7 +14,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use sops::core::local::{Activation, LocalRunner};
+use sops::core::local::{Activation, LocalRunner, PIPELINE_MIN_EVENTS};
 use sops::core::sharded::{SerialExecutor, ShardedLocalRunner};
 use sops::system::{shapes, ParticleSystem};
 use sops_engine::testkit::fnv;
@@ -106,6 +106,30 @@ fn local_outcome_stream_and_snapshot_match_golden_bytes() {
             "snapshot bytes changed (n={n}, λ={lambda}, seed={seed})"
         );
         assert_eq!(queue_by_id(&snapshot), snapshot, "queue= not in id order");
+    }
+}
+
+/// The batched driver reaches every `GOLDEN_LOCAL` snapshot too, inline
+/// and on two workers: the same events, the crash at `CRASH_AT` between
+/// two calls, and the same bytes.
+#[test]
+fn batched_runs_reach_the_golden_snapshots_at_one_and_two_workers() {
+    // The call after the crash is long enough to pipeline on two workers.
+    const _: () = assert!(ACTIVATIONS - CRASH_AT >= PIPELINE_MIN_EVENTS);
+    for (n, lambda, seed, _, snap_fnv) in GOLDEN_LOCAL {
+        for workers in [1, 2] {
+            let start = ParticleSystem::connected(shapes::line(n)).unwrap();
+            let mut runner = LocalRunner::from_seed(&start, lambda, seed).unwrap();
+            runner.run_activations_with(CRASH_AT, workers);
+            runner.crash(1);
+            runner.run_activations_with(ACTIVATIONS - CRASH_AT, workers);
+            runner.assert_invariants();
+            assert_eq!(
+                fnv(runner.snapshot().as_bytes()),
+                snap_fnv,
+                "snapshot bytes changed (n={n}, λ={lambda}, seed={seed}, {workers} workers)"
+            );
+        }
     }
 }
 

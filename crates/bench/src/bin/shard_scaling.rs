@@ -18,9 +18,13 @@
 //! on two workers, checked byte-equal the same way. Their speedup is over
 //! the inline row.
 //!
+//! The start is a spiral unless `--shape random` asks for an Eden-grown
+//! one, the shape of perfbench's `local-large`.
+//!
 //! ```sh
 //! cargo run --release -p sops-bench --bin shard_scaling
 //! cargo run --release -p sops-bench --bin shard_scaling -- --quick --metrics
+//! cargo run --release -p sops-bench --bin shard_scaling -- --n 100000 --shape random
 //! ```
 
 use std::time::Instant;
@@ -28,13 +32,15 @@ use std::time::Instant;
 use sops::analysis::table::{fmt_f64, Table};
 use sops::core::local::LocalRunner;
 use sops::core::sharded::ShardedLocalRunner;
-use sops::system::{shapes, ParticleSystem};
+use sops::system::ParticleSystem;
+use sops_bench::cli::usage_error;
 use sops_bench::{help, out, Args};
 use sops_engine::{run_sweep, Algorithm, EngineConfig, GridSpec, PoolExecutor, Shape};
 
 const USAGE: &str = "\
 shard_scaling — intra-run sharding of the local algorithm at n >= 10^6
-  --n N --lambda L --rounds R --reps K --seed S --quick --metrics";
+  --n N --lambda L --rounds R --reps K --seed S --shape spiral|random
+  --quick --metrics";
 
 /// FNV-1a 64 (the testkit hash, re-stated here so release binaries don't
 /// link test support).
@@ -56,6 +62,10 @@ fn main() {
     let rounds = args.get_u64("rounds", if quick { 4 } else { 10 });
     let reps = args.get_u64("reps", 3).max(1);
     let seed = args.get_u64("seed", 2016);
+    let shape: Shape = args.get_string("shape").map_or(Shape::Spiral, |raw| {
+        raw.parse()
+            .unwrap_or_else(|err| usage_error(&format!("--shape: {err}")))
+    });
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
 
     println!("# shard_scaling — local-sharded at n = {n}");
@@ -64,12 +74,12 @@ fn main() {
          seed {seed}, {cores} core(s) available\n"
     );
 
-    // A compact blob: dense regions, thousands of them, so every color
-    // step has far more independent work units than workers.
+    // The default is a compact blob: dense regions, thousands of them, so
+    // every color step has far more independent work units than workers.
     let t0 = Instant::now();
-    let start = ParticleSystem::connected(shapes::spiral(n)).expect("spiral start");
+    let start = shape.build(n, seed).expect("valid start");
     println!(
-        "start: spiral(n) built in {:.3} s",
+        "start: {shape}(n) built in {:.3} s",
         t0.elapsed().as_secs_f64()
     );
     let regions = count_regions(&start);
@@ -155,7 +165,7 @@ fn main() {
         let grid = GridSpec {
             ns: vec![n],
             lambdas: vec![lambda],
-            shapes: vec![Shape::Spiral],
+            shapes: vec![shape],
             algorithms: vec![Algorithm::LocalSharded],
             steps: rounds,
             samples: 1,

@@ -26,7 +26,9 @@ pub const ALGO_HELP: &str =
   local-sharded  checkerboard-synchronous variant of A built for intra-run
                  sharding (--shards runs one simulation across cores);
                  byte-identical results at any worker count; work units are
-                 rounds
+                 rounds. A different chain from M (and from local): its
+                 tails are not claimed to sample pi, and no exact gate
+                 covers it yet
   ablation-full / ablation-no-five / ablation-no-prop
                  deliberately weakened chain variants demonstrating why the
                  paper's move conditions are necessary";

@@ -1,16 +1,17 @@
-//! The experiment binaries reject malformed `--algo` and `--hamiltonian`
-//! flags with a usage error — exit code 2 and a message — never a panic.
+//! The experiment binaries reject malformed `--algo`, `--hamiltonian` and
+//! `--shape` flags with a usage error — exit code 2 and a message — never a
+//! panic.
 
 use std::process::Command;
 
-/// Runs `scaling_time` with `args` and returns `(exit code, stderr)`.
-fn scaling_time(args: &[&str]) -> (Option<i32>, String) {
+/// Runs the binary `exe` with `args` and returns `(exit code, stderr)`.
+fn run(exe: &str, args: &[&str]) -> (Option<i32>, String) {
     let results = std::env::temp_dir().join(format!("sops_bench_usage_{}", std::process::id()));
-    let out = Command::new(env!("CARGO_BIN_EXE_scaling_time"))
+    let out = Command::new(exe)
         .args(args)
         .env("SOPS_RESULTS_DIR", &results)
         .output()
-        .expect("scaling_time runs");
+        .expect("the binary runs");
     let _ = std::fs::remove_dir_all(&results);
     (
         out.status.code(),
@@ -30,9 +31,20 @@ fn malformed_algorithm_flags_are_usage_errors() {
         (&["--algo", "local"], "--algo must be chain or chain-kmc"),
     ];
     for (args, message) in cases {
-        let (code, stderr) = scaling_time(args);
+        let (code, stderr) = run(env!("CARGO_BIN_EXE_scaling_time"), args);
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
         assert!(stderr.contains(message), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn an_unknown_start_shape_is_a_usage_error() {
+    let (code, stderr) = run(
+        env!("CARGO_BIN_EXE_shard_scaling"),
+        &["--shape", "triangle"],
+    );
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    assert!(stderr.contains("--shape:"), "{stderr}");
 }

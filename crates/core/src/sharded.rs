@@ -46,14 +46,21 @@
 //!   their slots; each color step ships the active cells to a
 //!   [`StepExecutor`] as self-contained [`ShardTask`]s (cell + neighbor
 //!   rims + stream seed); boundary state moves as rim exports and emigrant
-//!   particles at deterministic merge points.
+//!   particles at deterministic merge points. The engine's executor
+//!   (`sops_engine::PoolExecutor`) runs a step's tasks on the calling
+//!   thread plus `workers − 1` helper threads that live as long as the
+//!   executor — in a job, one `run_rounds_with` call. A task that panics
+//!   lets the rest of its step finish; the panic is then resumed on the
+//!   caller.
 //!
 //! Rims and halos work a tile word at a time. A cell's rim is its grid's
 //! tiles masked to the sites within 2 (the rule's read radius) of the
 //! region border or outside it ([`RegionMap::rim_tile_mask`]). A task's
 //! halo is its neighbors' rim tiles masked to the footprint grown by 2
 //! sites ([`RegionMap::halo_tile_mask`]) — every foreign site the rule can
-//! read and no other — copied into one reusable grid per worker thread.
+//! read and no other — copied into one grid per worker thread (the caller
+//! or a long-lived helper), cleared and reused by every task that thread
+//! runs, across steps.
 //! Grid slots carry the owner's expanded bit (see `local::pack_slot`), so
 //! no query ever looks a neighbor particle up.
 //!

@@ -15,9 +15,10 @@
 //! * **Worker pool** ([`pool`]) — a fixed-size `std::thread` pool draining
 //!   a shared queue. No external dependencies.
 //! * **Intra-run sharding** ([`shard`]) — the [`shard::PoolExecutor`] runs
-//!   one `local-sharded` simulation across the pool: each color step of the
-//!   checkerboard schedule fans its region tasks out to
-//!   [`EngineConfig::shards`] workers, byte-identical at any worker count.
+//!   one `local-sharded` simulation on [`EngineConfig::shards`] workers:
+//!   the calling thread and helper threads that live as long as the
+//!   executor share each color step's region tasks, byte-identical at any
+//!   worker count.
 //! * **Checkpoint/resume** ([`checkpoint`], plus the snapshot APIs in
 //!   `sops_core::snapshot`) — sweeps periodically persist each in-flight
 //!   job (simulator snapshot + sampling state) and reuse completed-job

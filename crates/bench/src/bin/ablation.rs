@@ -3,8 +3,8 @@
 //! Section 3.1 motivates two structural guards: Condition (1) `e ≠ 5`
 //! prevents holes; Condition (2) Properties 1/2 preserves connectivity.
 //! This experiment removes each guard in turn and counts how often the
-//! corresponding invariant breaks — the design-choice ablation DESIGN.md
-//! calls out.
+//! corresponding invariant breaks. `docs/EXPERIMENTS.md` indexes it beside
+//! experiments E1–E15.
 //!
 //! ```sh
 //! cargo run --release -p sops-bench --bin ablation

@@ -18,6 +18,9 @@
 //! on two workers, checked byte-equal the same way. Their speedup is over
 //! the inline row.
 //!
+//! The reps go round-robin over every path, so drift on a shared machine
+//! spreads over all rows instead of landing between two of them.
+//!
 //! The start is a spiral unless `--shape random` asks for an Eden-grown
 //! one, the shape of perfbench's `local-large`.
 //!
@@ -94,68 +97,58 @@ fn main() {
     } else {
         &[0, 1, 2, 4, 8]
     };
+    let configs: Vec<Config> = ladder
+        .iter()
+        .map(|&workers| {
+            if workers == 0 {
+                Config::Flat
+            } else {
+                Config::Sharded(workers)
+            }
+        })
+        .chain([Config::Local(1), Config::Local(2)])
+        .collect();
+    // Rep by rep, every configuration in turn (see the module docs).
+    let mut samples: Vec<Vec<Sample>> = configs.iter().map(|_| Vec::new()).collect();
+    for _ in 0..reps {
+        for (config, samples) in configs.iter().zip(&mut samples) {
+            samples.push(config.run(&start, lambda, seed, rounds));
+        }
+    }
+    let runs: Vec<Runs> = configs
+        .iter()
+        .zip(samples)
+        .map(|(config, samples)| Runs::new(&config.label(), samples))
+        .collect();
+
     let mut table = Table::new([
         "path", "workers", "median s", "min s", "rounds/s", "activ/s", "speedup",
     ]);
-    let mut flat = None;
-    for &workers in ladder {
-        let (path, shown) = if workers == 0 {
-            ("flat", "-".to_string())
+    let flat = runs[0];
+    let inline = runs[ladder.len()];
+    for (config, runs) in configs.iter().zip(&runs) {
+        let reference = if let Config::Local(_) = config {
+            &inline
         } else {
-            ("sharded", workers.to_string())
+            &flat
         };
-        let runs = time_runs(&format!("{path} {shown}"), reps, || {
-            let mut runner =
-                ShardedLocalRunner::from_seed(&start, lambda, seed).expect("valid start");
-            let t0 = Instant::now();
-            if workers == 0 {
-                runner.run_rounds(rounds);
-            } else {
-                runner.run_rounds_with(rounds, &PoolExecutor::new(workers));
-            }
-            (
-                t0.elapsed().as_secs_f64(),
-                runner.snapshot(),
-                runner.activations(),
-            )
-        });
-        let reference = *flat.get_or_insert(runs);
         // The gate before any number is reported: byte-identical state.
         assert_eq!(
-            runs.state, reference.state,
-            "state diverged at {workers} workers — sharding bug, numbers void"
+            runs.state,
+            reference.state,
+            "{} state diverged — sharding or pipeline bug, numbers void",
+            config.label()
         );
-        table.row(runs.row(path, shown, rounds, &reference));
+        let (path, shown) = config.columns();
+        table.row(runs.row(path, shown, rounds, reference));
     }
     println!(
         "\ndifferential: all paths byte-identical (state fnv {:#018x})",
-        flat.map_or(0, |runs| runs.state)
+        flat.state
     );
-
-    // `local`: one event queue, inline against its schedule pipelined with
-    // its activations on two workers.
-    let mut inline = None;
-    for workers in [1, 2] {
-        let runs = time_runs(&format!("local {workers}"), reps, || {
-            let mut runner = LocalRunner::from_seed(&start, lambda, seed).expect("valid start");
-            let t0 = Instant::now();
-            runner.run_rounds_with(rounds, workers);
-            (
-                t0.elapsed().as_secs_f64(),
-                runner.snapshot(),
-                runner.activations(),
-            )
-        });
-        let reference = *inline.get_or_insert(runs);
-        assert_eq!(
-            runs.state, reference.state,
-            "local state diverged at {workers} workers — pipeline bug, numbers void"
-        );
-        table.row(runs.row("local", workers.to_string(), rounds, &reference));
-    }
     println!(
         "local differential: inline and 2 workers byte-identical (state fnv {:#018x})",
-        inline.map_or(0, |runs| runs.state)
+        inline.state
     );
     out::emit("shard_scaling", &table).expect("write results");
 
@@ -189,7 +182,62 @@ fn main() {
     }
 }
 
-/// The timings of `reps` runs of one path, and the state they reached.
+/// One timed path: the flat reference, the sharded executor, or the
+/// asynchronous runner, at a worker count.
+#[derive(Clone, Copy)]
+enum Config {
+    Flat,
+    Sharded(usize),
+    Local(usize),
+}
+
+/// One run of a path: its time, the FNV-1a of its final snapshot, and its
+/// activation count.
+type Sample = (f64, u64, u64);
+
+impl Config {
+    /// The table's `path` and `workers` columns.
+    fn columns(self) -> (&'static str, String) {
+        match self {
+            Config::Flat => ("flat", "-".to_string()),
+            Config::Sharded(workers) => ("sharded", workers.to_string()),
+            Config::Local(workers) => ("local", workers.to_string()),
+        }
+    }
+
+    fn label(self) -> String {
+        let (path, workers) = self.columns();
+        format!("{path} {workers}")
+    }
+
+    /// Runs `rounds` rounds from `start`, timing only the rounds.
+    fn run(self, start: &ParticleSystem, lambda: f64, seed: u64, rounds: u64) -> Sample {
+        let (time, snapshot, activations) = match self {
+            Config::Flat | Config::Sharded(_) => {
+                let mut runner =
+                    ShardedLocalRunner::from_seed(start, lambda, seed).expect("valid start");
+                let t0 = Instant::now();
+                if let Config::Sharded(workers) = self {
+                    runner.run_rounds_with(rounds, &PoolExecutor::new(workers));
+                } else {
+                    runner.run_rounds(rounds);
+                }
+                let time = t0.elapsed().as_secs_f64();
+                (time, runner.snapshot(), runner.activations())
+            }
+            Config::Local(workers) => {
+                let mut runner = LocalRunner::from_seed(start, lambda, seed).expect("valid start");
+                let t0 = Instant::now();
+                runner.run_rounds_with(rounds, workers);
+                let time = t0.elapsed().as_secs_f64();
+                (time, runner.snapshot(), runner.activations())
+            }
+        };
+        (time, fnv(snapshot.as_bytes()), activations)
+    }
+}
+
+/// The timings of the runs of one path, and the state they reached.
 #[derive(Clone, Copy)]
 struct Runs {
     median: f64,
@@ -199,40 +247,32 @@ struct Runs {
     activations: u64,
 }
 
-/// Runs `run` `reps` times, and prints the times under `label`. Each run returns its time, its final snapshot
-/// and its activation count; every snapshot must be the same.
-fn time_runs(label: &str, reps: u64, mut run: impl FnMut() -> (f64, String, u64)) -> Runs {
-    let mut times = Vec::new();
-    let mut state = None;
-    let mut activations = 0;
-    for _ in 0..reps {
-        let (time, snapshot, count) = run();
-        let hash = fnv(snapshot.as_bytes());
-        assert_eq!(
-            *state.get_or_insert(hash),
-            hash,
-            "a path is not deterministic"
-        );
-        times.push(time);
-        activations = count;
-    }
-    times.sort_by(f64::total_cmp);
-    println!(
-        "runs ({label}): {:?}",
-        times
-            .iter()
-            .map(|t| (t * 1000.0).round() / 1000.0)
-            .collect::<Vec<_>>()
-    );
-    Runs {
-        median: times[times.len() / 2],
-        min: times[0],
-        state: state.expect("at least one run"),
-        activations,
-    }
-}
-
 impl Runs {
+    /// Summarises the runs of one path, and prints their times under
+    /// `label`. Every run must reach the same snapshot.
+    fn new(label: &str, samples: Vec<Sample>) -> Runs {
+        let (_, state, activations) = samples[0];
+        let mut times = Vec::new();
+        for (time, hash, _) in samples {
+            assert_eq!(hash, state, "{label}: a path is not deterministic");
+            times.push(time);
+        }
+        times.sort_by(f64::total_cmp);
+        println!(
+            "runs ({label}): {:?}",
+            times
+                .iter()
+                .map(|t| (t * 1000.0).round() / 1000.0)
+                .collect::<Vec<_>>()
+        );
+        Runs {
+            median: times[times.len() / 2],
+            min: times[0],
+            state,
+            activations,
+        }
+    }
+
     /// A table row, with the speedup over `reference`.
     fn row(&self, path: &str, workers: String, rounds: u64, reference: &Runs) -> [String; 7] {
         [

@@ -1,7 +1,9 @@
 //! Shared infrastructure for the experiment harness.
 //!
-//! Each binary in `src/bin/` regenerates one table or figure of the paper
-//! (see `DESIGN.md` for the experiment index E1–E13). This library provides
+//! Each binary in `src/bin/` regenerates one table or figure of the paper;
+//! `docs/EXPERIMENTS.md` indexes them (experiments E1–E15 and the
+//! ablation) with the claim, command, artifact and expected outcome of
+//! each. This library provides
 //! the tiny pieces they share: a flag parser, a results directory, and the
 //! *ablation chain* — a deliberately weakened variant of Markov chain `M`
 //! used to demonstrate why the paper's move conditions are necessary.
@@ -13,9 +15,8 @@ pub mod cli;
 pub mod help;
 pub mod out;
 
-/// The ablation chain now lives in the execution engine (so it can be
-/// scheduled next to chain/local jobs); re-exported for the experiment
-/// binaries that predate the move.
+/// The ablation chain, which lives in the execution engine so sweeps can
+/// schedule it next to chain and local jobs.
 pub use sops_engine::ablation;
 
 /// Re-export so binaries only need `sops_bench` and `sops`.

@@ -7,9 +7,8 @@
 //! chain lets experiments disable either guard and observe the invariant
 //! violations the paper's Lemmas 3.1/3.2 rule out.
 //!
-//! (Moved here from `sops-bench` so the execution engine can schedule
-//! ablation runs next to chain/local jobs; `sops_bench::ablation` re-exports
-//! this module.)
+//! The engine schedules ablation runs next to chain and local jobs;
+//! `sops_bench::ablation` re-exports this module.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -300,9 +299,8 @@ impl AblationChain {
 ///
 /// # Panics
 ///
-/// Panics on a non-finite/non-positive λ or a disconnected start (the
-/// historical signature of this helper predates [`AblationChain`]'s
-/// `Result` constructor).
+/// Panics on a non-finite/non-positive λ or a disconnected start;
+/// [`AblationChain::from_seed`] returns those as errors instead.
 #[must_use]
 pub fn run(
     start: &ParticleSystem,

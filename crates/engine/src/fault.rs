@@ -42,7 +42,9 @@
 use std::collections::BTreeMap;
 use std::io;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::sync::Mutex;
+
+use crate::pool::relock;
 
 /// Every named fault point, in the order they appear in a sweep's life
 /// cycle. Pinned verbatim in `docs/ROBUSTNESS.md` by the docs-sync test.
@@ -262,7 +264,7 @@ impl FaultPlan {
                 continue;
             }
             let hit = {
-                let mut hits = self.hits.lock().unwrap_or_else(PoisonError::into_inner);
+                let mut hits = relock(&self.hits);
                 let h = hits.entry((idx, job)).or_insert(0);
                 *h += 1;
                 *h

@@ -12,13 +12,15 @@
 //!   from `sops-cli sweep` flags and experiment files — expands into the
 //!   cross product over (algorithm (× Hamiltonian) × shape × n × λ ×
 //!   crash scenario × repetition).
-//! * **Worker pool** ([`pool`]) — a fixed-size `std::thread` pool draining
-//!   a shared queue. No external dependencies.
+//! * **Worker pool** ([`pool`]) — the engine's one `std::thread` pool: the
+//!   calling thread and helper threads that live for a whole call drain a
+//!   shared queue and return outputs in input order. Sweeps run their
+//!   pending jobs on it at [`EngineConfig::threads`] workers. No external
+//!   dependencies.
 //! * **Intra-run sharding** ([`shard`]) — the [`shard::PoolExecutor`] runs
-//!   one `local-sharded` simulation on [`EngineConfig::shards`] workers:
-//!   the calling thread and helper threads that live as long as the
-//!   executor share each color step's region tasks, byte-identical at any
-//!   worker count.
+//!   one `local-sharded` simulation on the same pool at
+//!   [`EngineConfig::shards`] workers, its helpers living as long as the
+//!   executor; byte-identical at any worker count.
 //! * **Checkpoint/resume** ([`checkpoint`], plus the snapshot APIs in
 //!   `sops_core::snapshot`) — sweeps periodically persist each in-flight
 //!   job (simulator snapshot + sampling state) and reuse completed-job
@@ -66,8 +68,8 @@
 //! # Failure model
 //!
 //! Process-level faults degrade instead of aborting: a job that panics or
-//! hits an unretryable I/O error is isolated ([`pool`] catches per-item
-//! panics), durably quarantined (`failed/job-<id>.txt`), and reported in
+//! hits an unretryable I/O error is isolated ([`SweepSession::run_pending`]
+//! catches the job's panic), durably quarantined (`failed/job-<id>.txt`), and reported in
 //! [`SweepReport::failed`] while every healthy job finishes. Corrupt or
 //! truncated checkpoint files demote their one job to recompute-from-
 //! scratch. Transient write errors get a bounded, wall-clock-free retry.
@@ -117,7 +119,7 @@ pub use checkpoint::CheckpointConfig;
 pub use experiment::{CheckpointSpec, ExperimentSpec};
 pub use fault::{FaultKind, FaultPlan, FaultSpec, POINTS as FAULT_POINTS};
 pub use grid::{Algorithm, CrashSpec, GridSpec, JobSpec, Shape, ORIENT_SALT};
-pub use pool::{default_threads, map_parallel, map_parallel_isolated};
+pub use pool::default_threads;
 pub use result::{JobFailure, JobResult, StepRecord};
 pub use run::{run_sweep, EngineConfig, SweepReport, SweepSession};
 pub use shard::PoolExecutor;

@@ -5,7 +5,7 @@ use std::io;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use sops::analysis::table::{fmt_f64, Table};
@@ -17,7 +17,7 @@ use crate::checkpoint::{CheckpointConfig, Store};
 use crate::fault::{FaultPlan, FaultSpec};
 use crate::grid::JobSpec;
 use crate::job::{run_job, JobContext, JobOutcome};
-use crate::pool::{default_threads, map_parallel};
+use crate::pool::{default_threads, panic_message, relock, Crew};
 use crate::result::{JobFailure, JobResult};
 use crate::sink::EventSink;
 use crate::telemetry::{finalize_rates, heartbeat, TelemetryConfig};
@@ -265,12 +265,6 @@ pub struct SweepSession {
     finished: AtomicBool,
 }
 
-/// Locks shrugging off poison: outcome slots hold only completed values, so
-/// a caller-side panic cannot leave partial state behind.
-fn relock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 impl SweepSession {
     /// Opens a sweep over `specs`: validates ids, arms faults, opens the
     /// event sink and checkpoint store, replays done-records and
@@ -431,9 +425,9 @@ impl SweepSession {
     }
 
     /// Runs the pending job at `pos` and records its outcome. Safe to call
-    /// from any thread; call at most once per position. Panics inside the
-    /// job are caught and recorded (worker isolation), exactly as
-    /// [`run_sweep`]'s pool does.
+    /// from any thread; call at most once per position. A panic inside the
+    /// job is caught and recorded as that job's failure, so it never
+    /// reaches the thread that called.
     ///
     /// Once a `stop_after_checkpoints` budget has tripped, the call records
     /// an interrupted outcome without starting the job.
@@ -447,7 +441,7 @@ impl SweepSession {
                 Ok(Ok(JobOutcome::Completed(result))) => Outcome::Completed(result),
                 Ok(Ok(JobOutcome::Interrupted)) => Outcome::Interrupted,
                 Ok(Err(e)) => Outcome::Error(e),
-                Err(payload) => Outcome::Panicked(crate::pool::panic_message(payload)),
+                Err(payload) => Outcome::Panicked(panic_message(payload)),
             }
         };
         relock(&self.outcomes)[pos] = Some(outcome);
@@ -594,8 +588,9 @@ impl SweepSession {
 /// finishes; corrupt checkpoint files demote their job to recompute. See
 /// `docs/ROBUSTNESS.md` for the full failure model.
 ///
-/// Implemented as [`SweepSession::open`] + a worker pool over every
-/// pending position + [`SweepSession::finish`].
+/// Implemented as [`SweepSession::open`], then every pending position on
+/// one crew of the engine's pool ([`crate::pool`]: the calling thread and
+/// `min(threads, pending) − 1` helpers), then [`SweepSession::finish`].
 ///
 /// # Errors
 ///
@@ -603,11 +598,16 @@ impl SweepSession {
 /// directory holding a foreign sweep, or `InvalidInput` for specs that
 /// cannot be instantiated (e.g. λ ≤ 0).
 pub fn run_sweep(specs: Vec<JobSpec>, cfg: &EngineConfig) -> io::Result<SweepReport> {
-    let session = SweepSession::open(specs, cfg)?;
-    let positions: Vec<usize> = (0..session.pending().len()).collect();
-    // `run_pending` catches job panics itself, so the propagate-on-panic
-    // pool is safe here and keeps the call sites symmetrical.
-    let worker = |_: usize, pos: usize| session.run_pending(pos);
+    let session = Arc::new(SweepSession::open(specs, cfg)?);
+    let pending = session.pending().len();
+    let run_all = || {
+        let items = (0..pending)
+            .map(|pos| (Arc::clone(&session), pos))
+            .collect();
+        // With `threads` 0 or 1, or fewer than two pending jobs, there are
+        // no helpers: the calling thread runs every job inline, in order.
+        Crew::start(cfg.threads.min(pending).saturating_sub(1), run_at).run(items);
+    };
     if cfg.telemetry.progress {
         let started = Instant::now();
         let hb_stop = AtomicBool::new(false);
@@ -621,12 +621,18 @@ pub fn run_sweep(specs: Vec<JobSpec>, cfg: &EngineConfig) -> io::Result<SweepRep
                     started,
                 );
             });
-            map_parallel(cfg.threads, positions, worker);
+            run_all();
             hb_stop.store(true, Ordering::SeqCst);
             hb.join().expect("heartbeat thread panicked");
         });
     } else {
-        map_parallel(cfg.threads, positions, worker);
+        run_all();
     }
     session.finish()
+}
+
+/// A crew item of [`run_sweep`]: runs the pending job at `pos`, whose panic
+/// [`SweepSession::run_pending`] catches and records.
+fn run_at((session, pos): (Arc<SweepSession>, usize)) {
+    session.run_pending(pos);
 }

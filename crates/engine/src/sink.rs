@@ -31,6 +31,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::fault::{self, FaultPlan, RETRY_ATTEMPTS};
+use crate::pool::relock;
 
 /// A shared, thread-safe JSONL event stream (possibly disabled).
 #[derive(Debug, Default)]
@@ -128,9 +129,7 @@ impl EventSink {
             // sink.emit panic trips before any bytes go out, and write_all
             // reports failure as Err, never by unwinding) leaves the File
             // itself coherent, so later events must keep flowing.
-            let mut writer = writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            let mut writer = relock(writer);
             for attempt in 1..=RETRY_ATTEMPTS {
                 let outcome = fault::check(self.faults.as_deref(), "sink.emit", None)
                     .and_then(|()| writer.write_all(line.as_bytes()));

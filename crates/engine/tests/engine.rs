@@ -61,6 +61,67 @@ fn one_and_four_threads_produce_byte_identical_results() {
     assert_eq!(single.to_table().to_csv(), pooled.to_table().to_csv());
 }
 
+/// Three jobs: one each of the three simulators, at one n and λ.
+fn three_job_grid() -> Vec<JobSpec> {
+    GridSpec {
+        ns: vec![12],
+        lambdas: vec![4.0],
+        algorithms: vec![Algorithm::CHAIN, Algorithm::CHAIN_KMC, Algorithm::Local],
+        shapes: vec![Shape::Line],
+        steps: 3_000,
+        burnin: 500,
+        samples: 6,
+        ..GridSpec::default()
+    }
+    .build(29)
+}
+
+/// The CSV of a complete sweep of `grid` at `threads`.
+fn csv_at(grid: Vec<JobSpec>, threads: usize) -> String {
+    let report = run_sweep(
+        grid,
+        &EngineConfig {
+            threads,
+            ..EngineConfig::default()
+        },
+    )
+    .unwrap();
+    assert!(report.is_complete(), "threads = {threads}");
+    report.to_table().to_csv()
+}
+
+#[test]
+fn zero_threads_and_more_threads_than_jobs_match_one_thread() {
+    let grid = three_job_grid();
+    assert_eq!(grid.len(), 3);
+    let single = csv_at(grid.clone(), 1);
+    // 0 runs inline like 1; 8 runs the three jobs on the caller and two
+    // helpers.
+    for threads in [0, 8] {
+        assert_eq!(csv_at(grid.clone(), threads), single, "threads = {threads}");
+    }
+}
+
+#[test]
+fn a_rerun_with_every_job_reused_matches_one_thread() {
+    let grid = three_job_grid();
+    let dir = tmp_dir("all_reused");
+    let checkpointed = EngineConfig {
+        threads: 2,
+        checkpoint: Some(CheckpointConfig::new(dir.clone(), 1_000)),
+        ..EngineConfig::default()
+    };
+    assert!(run_sweep(grid.clone(), &checkpointed)
+        .unwrap()
+        .is_complete());
+    // Nothing is left pending: the crew gets no items at all.
+    let rerun = run_sweep(grid.clone(), &checkpointed).unwrap();
+    assert!(rerun.is_complete());
+    assert_eq!(rerun.reused, grid.len());
+    assert_eq!(rerun.to_table().to_csv(), csv_at(grid, 1));
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn interrupted_and_resumed_sweep_matches_uninterrupted() {
     let grid = mixed_grid();
